@@ -37,7 +37,7 @@ from .errors import (
     ValidationError,
     ZeroPivot,
 )
-from .gf import FieldCtx, RowSpace, Solver, nullspace, rank
+from .gf import FieldCtx, RowSpace, Solver, matvec, nullspace, rank
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,17 +129,6 @@ class CssCode:
         return Solver(self.ctx, self.hz)
 
 
-def _matvec(ctx: FieldCtx, m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    if m.shape[0] == 0:
-        return np.zeros(0, dtype=np.int64)
-    if ctx.m == 1 and m.shape[1] * (ctx.p - 1) ** 2 < (1 << 62):
-        return (m @ np.asarray(v, dtype=np.int64)) % ctx.p
-    out = np.zeros(m.shape[0], dtype=np.int64)
-    for j in np.nonzero(v)[0].tolist():
-        out = ctx.add(out, ctx.mul(int(v[j]), m[:, j]))
-    return out
-
-
 def css_new(cx: LinearCode, cz: LinearCode,
             recovery: Sequence[RecoverySet] | None = None) -> CssCode:
     """Validate the CSS condition C_X-dual inside C_Z and build the code.
@@ -175,7 +164,7 @@ def css_new(cx: LinearCode, cz: LinearCode,
 def syndrome(code: CssCode, err: PauliError) -> tuple[np.ndarray, np.ndarray]:
     """(H_X @ bx, H_Z @ bz): everything the stabilizer measurements reveal."""
     ctx = code.ctx
-    return _matvec(ctx, code.hx, err.bx), _matvec(ctx, code.hz, err.bz)
+    return matvec(ctx, code.hx, err.bx), matvec(ctx, code.hz, err.bz)
 
 
 def is_logical_identity(code: CssCode, err: PauliError) -> bool:

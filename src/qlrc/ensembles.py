@@ -27,6 +27,7 @@ finishes with an outer errors-and-erasures Reed-Solomon decode.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -44,7 +45,8 @@ from .errors import (
     SamplingFailedAfterRetries,
     ValidationError,
 )
-from .gf import FieldCtx, RowSpace, Solver, field_new, nullspace, rank, rref
+from .gf import FieldCtx, RowSpace, Solver, field_new, matvec, nullspace, rank, rref
+from .listdec import rs_unique_decode
 from .polycode import evaluate_values
 
 _REJECTION_TRIES = 256
@@ -705,7 +707,7 @@ class _InnerDecoder:
         n = parity.shape[1]
         self.table: dict[tuple, np.ndarray] = {}
         zero = np.zeros(n, dtype=np.int64)
-        self.table[tuple(_syndrome(ctx, parity, zero).tolist())] = zero
+        self.table[tuple(matvec(ctx, parity, zero).tolist())] = zero
         from itertools import combinations, product
 
         for w in range(1, radius + 1):
@@ -713,69 +715,32 @@ class _InnerDecoder:
                 for vals in product(range(1, ctx.q), repeat=w):
                     e = np.zeros(n, dtype=np.int64)
                     e[list(supp)] = vals
-                    key = tuple(_syndrome(ctx, parity, e).tolist())
+                    key = tuple(matvec(ctx, parity, e).tolist())
                     self.table.setdefault(key, e)
 
     def decode(self, word: np.ndarray) -> np.ndarray | None:
         """The codeword, or None when the syndrome is outside the table."""
-        syn = tuple(_syndrome(self.ctx, self.parity, word).tolist())
+        syn = tuple(matvec(self.ctx, self.parity, word).tolist())
         e = self.table.get(syn)
         if e is None:
             return None
         return self.ctx.sub(word, e)
 
 
-def _syndrome(ctx: FieldCtx, parity: np.ndarray, v: np.ndarray) -> np.ndarray:
-    if ctx.m == 1:
-        return (parity @ v) % ctx.p
-    out = np.zeros(parity.shape[0], dtype=np.int64)
-    for j in np.nonzero(v)[0].tolist():
-        out = ctx.add(out, ctx.mul(int(v[j]), parity[:, j]))
-    return out
-
-
 def rs_decode_errors_erasures(ctx: FieldCtx, ell: int, values: np.ndarray,
                               erased: np.ndarray) -> np.ndarray:
     """Unique-decode an RS word with erasures: 2E + F <= n - ell.
 
-    Berlekamp-Welch restricted to the unerased evaluation points; raises
-    DecodingFailed when no codeword sits within the radius.
+    Gao's decoder (``listdec.rs_unique_decode``) on the unerased evaluation
+    points; raises DecodingFailed when no codeword sits within the radius.
     """
-    from .gf import nullspace as _ns
-
-    values = np.asarray(values, dtype=np.int64)
     erased = np.asarray(erased, dtype=bool)
-    keep = np.nonzero(~erased)[0]
-    n_avail = len(keep)
-    if n_avail < ell:
-        raise DecodingFailed(f"only {n_avail} unerased symbols for dimension {ell}")
-    t_err = (n_avail - ell) // 2
-    xs = ctx.units()[keep]
-    ys = values[keep]
-    n_cols = t_err + ell
-    e_cols = t_err + 1
-    rows = np.zeros((n_avail, n_cols + e_cols), dtype=np.int64)
-    xp = np.ones(n_avail, dtype=np.int64)
-    for a in range(max(n_cols, e_cols)):
-        if a < n_cols:
-            rows[:, a] = xp
-        if a < e_cols:
-            rows[:, n_cols + a] = ctx.neg(ctx.mul(ys, xp))
-        xp = ctx.mul(xp, xs)
-    from .listdec import _poly_divide_exact
-
-    for sol in _ns(ctx, rows):
-        ncoef, ecoef = sol[:n_cols], sol[n_cols:]
-        if not np.any(ecoef):
-            continue
-        f = _poly_divide_exact(ctx, ncoef, ecoef)
-        if f is not None and len(f) <= ell:
-            coeffs = np.zeros(ell, dtype=np.int64)
-            coeffs[: len(f)] = f
-            word = evaluate_values(ctx, coeffs)
-            if int(np.count_nonzero(word[keep] != ys)) <= t_err:
-                return coeffs
-    raise DecodingFailed("no RS codeword within the errors-and-erasures radius")
+    coeffs = rs_unique_decode(ctx, ell, values, erased)
+    if coeffs is None:
+        raise DecodingFailed(
+            f"no RS codeword within the errors-and-erasures radius "
+            f"({np.count_nonzero(~erased)} unerased symbols, dimension {ell})")
+    return coeffs
 
 
 @dataclass(frozen=True)
@@ -783,16 +748,16 @@ class AelDecodeResult:
     message: np.ndarray
     word: np.ndarray  # canonical re-encoding
     inner_failures: int
-    outer_errors_corrected: bool
 
 
 def ael_decode(code: AelCode, word: np.ndarray, side: str = "z",
                inner_radius: int | None = None) -> AelDecodeResult:
     """Unpermute, inner-decode every block (erase on failure), outer-decode.
 
-    ``inner_radius`` defaults to half the inner code's certified distance
-    as recorded on the code (see ael_standard_build); erasing on inner
-    failure lets the outer errors-and-erasures decoder absorb them.
+    ``inner_radius`` defaults to 1 (ael_standard_build records half the
+    inner code's certified distance, which callers pass explicitly);
+    erasing on inner failure lets the outer errors-and-erasures decoder
+    absorb them.
     """
     ctx_in, ctx_out = code.ctx, code.outer.ctx
     word = np.asarray(word, dtype=np.int64)
@@ -826,19 +791,21 @@ def ael_decode(code: AelCode, word: np.ndarray, side: str = "z",
     msg = (log.read_z(ctx_out, decoded) if side == "z"
            else log.read_x(ctx_out, decoded))
     return AelDecodeResult(message=msg, word=ael_encode(code, msg, side),
-                           inner_failures=failures,
-                           outer_errors_corrected=True)
+                           inner_failures=failures)
 
 
-_INNER_DECODERS: dict[tuple[int, str, int], _InnerDecoder] = {}
+# Keyed by the code itself (AelCode hashes by identity), so a table dies
+# with its code and is never handed to a later code that reuses its id.
+_INNER_DECODERS: weakref.WeakKeyDictionary[AelCode, dict[tuple[str, int], _InnerDecoder]] = \
+    weakref.WeakKeyDictionary()
 
 
 def _inner_decoder_cache(code: AelCode, side: str, radius: int) -> _InnerDecoder:
-    key = (id(code), side, radius)
-    if key not in _INNER_DECODERS:
+    tables = _INNER_DECODERS.setdefault(code, {})
+    if (side, radius) not in tables:
         parity = code.inner.hz if side == "z" else code.inner.hx
-        _INNER_DECODERS[key] = _InnerDecoder(code.ctx, parity, radius)
-    return _INNER_DECODERS[key]
+        tables[side, radius] = _InnerDecoder(code.ctx, parity, radius)
+    return tables[side, radius]
 
 
 # -- the standard desk-scale instantiation ---------------------------------------------

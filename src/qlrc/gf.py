@@ -262,16 +262,6 @@ class FieldCtx:
             return out
         return self._exp[: self.q - 1].copy()
 
-    def element_order(self, a: int) -> int:
-        if a == 0:
-            raise ZeroElement("zero has no multiplicative order")
-        n = self.q - 1
-        order = n
-        for f in _factorize(n):
-            while order % f == 0 and self.pow(a, order // f) == 1:
-                order //= f
-        return order
-
     def log(self, a: int) -> int:
         """Discrete log base omega."""
         if a == 0:
@@ -524,7 +514,7 @@ class Solver:
 
     def solve(self, b: np.ndarray) -> np.ndarray | None:
         ctx = self.ctx
-        tb = _matvec_generic(ctx, self.transform, np.asarray(b, dtype=np.int64))
+        tb = matvec(ctx, self.transform, b)
         x = np.zeros(self.n, dtype=np.int64)
         for i, p in enumerate(self.pivots):
             x[p] = tb[i]
@@ -534,14 +524,19 @@ class Solver:
         return x
 
 
-def _matvec_generic(ctx: FieldCtx, m: np.ndarray, v: np.ndarray) -> np.ndarray:
+def matvec(ctx: FieldCtx, m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """m @ v over the field. Extension fields sum the products per base-p digit."""
+    v = np.asarray(v, dtype=np.int64)
     if m.shape[0] == 0:
         return np.zeros(0, dtype=np.int64)
     if ctx.m == 1 and m.shape[1] * (ctx.p - 1) ** 2 < (1 << 62):
         return (m @ v) % ctx.p
+    prods = ctx.mul(m, v[None, :])
     out = np.zeros(m.shape[0], dtype=np.int64)
-    for j in np.nonzero(v)[0].tolist():
-        out = ctx.add(out, ctx.mul(int(v[j]), m[:, j]))
+    pk = 1
+    for _ in range(ctx.m):
+        out += (prods // pk % ctx.p).sum(axis=1) % ctx.p * pk
+        pk *= ctx.p
     return out
 
 

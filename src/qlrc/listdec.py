@@ -4,9 +4,10 @@ Three engines, all returning the complete list of message polynomials
 within the requested radius (every candidate is distance-filtered before
 it is returned, so the output is exact, never a superset):
 
-* Berlekamp-Welch for radii up to the unique-decoding bound. At those
-  radii Hamming balls are disjoint, so the one candidate it finds is the
-  whole list.
+* Gao's decoder (S. Gao, "A new algorithm for decoding Reed-Solomon
+  codes", 2003) for radii up to the unique-decoding bound, with erasures.
+  At those radii Hamming balls are disjoint, so the one candidate it finds
+  is the whole list.
 * Guruswami-Sudan bivariate interpolation with multiplicities, up to the
   Johnson radius (q-1)(1 - sqrt(ell/(q-1))). The multiplicity needed
   grows without bound as the radius approaches Johnson; calls that would
@@ -22,28 +23,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
 
 from .classical import FoldedCode, LinearCode, block_weight, iter_codeword_chunks
 from .errors import CapExceeded, RadiusTooLarge, ValidationError
-from .gf import FieldCtx, nullspace
+from .gf import FieldCtx, matvec, nullspace
 from .polycode import evaluate_values
 
 GS_MULTIPLICITY_CAP = 8
 FRS_SHIFT_CAP = 3  # interpolation variables; solution space has dim < v
 FRS_ENUM_CAP = 1 << 16
-
-
-@dataclass(frozen=True)
-class DecodeRadius:
-    e: int
-    method: str  # "johnson_rs" | "folded_linear_algebraic" | "brute"
-
-    def __post_init__(self):
-        if self.e < 0:
-            object.__setattr__(self, "e", 0)
 
 
 def johnson_radius_rs(q: int, ell: int) -> int:
@@ -107,7 +99,7 @@ def list_decode_rs(ctx: FieldCtx, ell: int, received: np.ndarray, e: int,
     """All message polynomials of degree < ell within distance e of received.
 
     Returns fixed-length coefficient arrays, sorted. Radii up to
-    (n-ell)//2 go through Berlekamp-Welch; larger ones through
+    (n-ell)//2 go through Gao's unique decoder; larger ones through
     Guruswami-Sudan at the minimal sufficient multiplicity.
     """
     n = ctx.q - 1
@@ -123,7 +115,8 @@ def list_decode_rs(ctx: FieldCtx, ell: int, received: np.ndarray, e: int,
             f"e={e} exceeds the Johnson radius {johnson_radius_rs(ctx.q, ell)}")
 
     if e <= (n - ell) // 2:
-        cands = _berlekamp_welch(ctx, ell, received, e)
+        f = rs_unique_decode(ctx, ell, received)
+        cands = [] if f is None else [f]
     else:
         cands = _guruswami_sudan(ctx, ell, received, e, m_cap)
     out = [c for c in cands if _distance(evaluate_values(ctx, c), received) <= e]
@@ -132,53 +125,138 @@ def list_decode_rs(ctx: FieldCtx, ell: int, received: np.ndarray, e: int,
     return out
 
 
-def _berlekamp_welch(ctx: FieldCtx, ell: int, received: np.ndarray, e: int) -> list[np.ndarray]:
-    # N(x_i) = y_i * E(x_i), deg N < e + ell, deg E <= e; f = N / E
+class _PrimeOps:
+    """Scalar arithmetic of GF(p) on Python ints."""
+
+    def __init__(self, p: int):
+        self.p = p
+
+    def mul(self, a: int, b: int) -> int:
+        return a * b % self.p
+
+    def inv(self, a: int) -> int:
+        return pow(a, self.p - 2, self.p)
+
+    def sub_scaled(self, acc: list[int], c: int, b: list[int], shift: int) -> None:
+        """acc[shift + j] -= c * b[j], in place."""
+        p, end = self.p, shift + len(b)
+        acc[shift:end] = [(a - c * bj) % p for a, bj in zip(acc[shift:end], b)]
+
+
+class _ExtOps:
+    """Scalar arithmetic of GF(p^m) on Python ints: exp/log tables for
+    products, a Zech-log table (log of 1 + omega^i) for sums."""
+
+    def __init__(self, ctx: FieldCtx):
+        self.n = ctx.q - 1
+        self.exp = ctx._exp.tolist()  # length 2n, so log sums need no reduction
+        self.log = ctx._log.tolist()
+        self.zech = [self.log[v] if v else -1 for v in ctx.add(1, ctx.units()).tolist()]
+        self.log_neg1 = self.n // 2 if ctx.p != 2 else 0  # -1 = omega^(n/2)
+
+    def add(self, a: int, b: int) -> int:
+        if not a or not b:
+            return a or b
+        la = self.log[a]
+        z = self.zech[self.log[b] - la]  # a negative index wraps mod n
+        return 0 if z < 0 else self.exp[la + z]
+
+    def mul(self, a: int, b: int) -> int:
+        return self.exp[self.log[a] + self.log[b]] if a and b else 0
+
+    def inv(self, a: int) -> int:
+        return self.exp[self.n - self.log[a]]
+
+    def sub_scaled(self, acc: list[int], c: int, b: list[int], shift: int) -> None:
+        """acc[shift + j] -= c * b[j], in place."""
+        if not c:
+            return
+        exp, log, add = self.exp, self.log, self.add
+        lc = (log[c] + self.log_neg1) % self.n
+        for j, bj in enumerate(b, shift):
+            if bj:
+                acc[j] = add(acc[j], exp[lc + log[bj]])
+
+
+@lru_cache(maxsize=8)
+def _scalar_ops(ctx: FieldCtx) -> _PrimeOps | _ExtOps:
+    return _PrimeOps(ctx.p) if ctx.m == 1 else _ExtOps(ctx)
+
+
+@lru_cache(maxsize=4)
+def _idft_matrix(ctx: FieldCtx) -> np.ndarray:
+    """Interpolation over the positions omega^i: coefficient j of the
+    polynomial through y is n^-1 sum_i y_i omega^(-ij), and n^-1 = -1."""
     n = ctx.q - 1
-    xs = ctx.units()
-    n_cols = e + ell
-    e_cols = e + 1
-    rows = np.zeros((n, n_cols + e_cols), dtype=np.int64)
-    xp = np.ones(n, dtype=np.int64)
-    for a in range(max(n_cols, e_cols)):
-        if a < n_cols:
-            rows[:, a] = xp
-        if a < e_cols:
-            rows[:, n_cols + a] = ctx.neg(ctx.mul(received, xp))
-        xp = ctx.mul(xp, xs)
-    for sol in nullspace(ctx, rows):
-        ncoef, ecoef = sol[:n_cols], sol[n_cols:]
-        if not np.any(ecoef):
-            continue
-        f = _poly_divide_exact(ctx, ncoef, ecoef)
-        if f is not None and len(f) <= ell:
-            out = np.zeros(ell, dtype=np.int64)
-            out[: len(f)] = f
-            return [out]
-    return []
+    idx = np.arange(n)
+    return ctx.neg(ctx.units()[(-np.outer(idx, idx)) % n])
 
 
-def _poly_divide_exact(ctx: FieldCtx, num: np.ndarray, den: np.ndarray) -> np.ndarray | None:
-    num = list(np.trim_zeros(np.asarray(num, dtype=np.int64), "b"))
-    den = list(np.trim_zeros(np.asarray(den, dtype=np.int64), "b"))
-    if not den:
-        return None
-    if not num:
-        return np.zeros(1, dtype=np.int64)
-    if len(num) < len(den):
-        return None
-    inv_lead = ctx.inv(int(den[-1]))
-    quot = [0] * (len(num) - len(den) + 1)
-    rem = num[:]
+def _trim(a: list[int]) -> list[int]:
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _poly_divmod(ops: _PrimeOps | _ExtOps, num: list[int],
+                 den: list[int]) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of coefficient lists (constant term first);
+    ``den`` is trimmed and nonzero."""
+    rem = _trim(list(num))
+    dd = len(den) - 1
+    if len(rem) <= dd:
+        return [], rem
+    inv_lead = ops.inv(den[-1])
+    quot = [0] * (len(rem) - dd)
     for i in range(len(quot) - 1, -1, -1):
-        c = ctx.mul(int(rem[i + len(den) - 1]), inv_lead)
-        quot[i] = c
+        c = ops.mul(rem[i + dd], inv_lead)
         if c:
-            for j, dj in enumerate(den):
-                rem[i + j] = ctx.sub(int(rem[i + j]), ctx.mul(c, int(dj)))
-    if any(rem):
+            quot[i] = c
+            ops.sub_scaled(rem, c, den, i)
+    return quot, _trim(rem[:dd])
+
+
+def rs_unique_decode(ctx: FieldCtx, ell: int, received: np.ndarray,
+                     erased: np.ndarray | None = None) -> np.ndarray | None:
+    """Gao's errors-and-erasures decoder for RS(q, ell) on GF(q)*.
+
+    Returns the length-ell message of the codeword within (N - ell)//2
+    errors of ``received`` on its N unerased positions (there is at most
+    one), or None when there is none or N < ell. Interpolate g1 through the
+    unerased points, take g0 = (x^n - 1) / erasure locator, run the
+    extended Euclidean algorithm on (g0, g1) until the remainder g has
+    degree < (N + ell)/2, and divide g by the multiplier v of g1. Since
+    g = u*g0 + v*g1, the quotient agrees with received wherever v does not
+    vanish, so it is within deg v <= (N - ell)/2 errors.
+    """
+    n = ctx.q - 1
+    ops = _scalar_ops(ctx)
+    g0 = [ctx.p - 1] + [0] * (n - 1) + [1]  # x^n - 1; p - 1 encodes -1
+    g1 = _trim(matvec(ctx, _idft_matrix(ctx), received).tolist())
+    n_avail = n
+    if erased is not None and np.any(erased):
+        locator = [1]
+        for x in ctx.units()[erased].tolist():
+            locator = [0] + locator
+            ops.sub_scaled(locator, x, locator[1:], 0)
+        g0, _ = _poly_divmod(ops, g0, locator)
+        g1 = _poly_divmod(ops, g1, g0)[1]
+        n_avail -= len(locator) - 1
+    if n_avail < ell:
         return None
-    return np.asarray(quot, dtype=np.int64)
+    v0, v1 = [], [1]
+    while 2 * (len(g1) - 1) >= n_avail + ell:
+        quot, rem = _poly_divmod(ops, g0, g1)
+        v2 = v0 + [0] * (len(quot) + len(v1) - 1 - len(v0))
+        for i, c in enumerate(quot):
+            ops.sub_scaled(v2, c, v1, i)
+        g0, g1, v0, v1 = g1, rem, v1, _trim(v2)
+    f, rem = _poly_divmod(ops, g1, v1)
+    if rem or len(f) > ell:
+        return None
+    out = np.zeros(ell, dtype=np.int64)
+    out[: len(f)] = f
+    return out
 
 
 def _binom_field(ctx: FieldCtx, a: int, b: int) -> int:

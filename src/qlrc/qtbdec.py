@@ -265,8 +265,9 @@ def quantum_decode(code: QtbCode | FqtbCode, err: PauliError,
     """Full symplectic decode: syndromes -> two classical decodes -> residual.
 
     Returns (correction, residual). Within the module radius the residual
-    is always a logical identity; a violation raises
-    DecodeContractViolation, which the CLI maps to its own exit code.
+    is always a logical identity and the classical decoders never fail; a
+    violation of either raises DecodeContractViolation, which the CLI maps
+    to its own exit code. Outside it DecodingFailed propagates.
     """
     folded = isinstance(code, FqtbCode)
     css = code.base.css if folded else code.css
@@ -284,7 +285,13 @@ def quantum_decode(code: QtbCode | FqtbCode, err: PauliError,
             return dec_c(code, t, e=radius if within else None).word
 
     sx, sz = syndrome(css, err)
-    corr = css_decode(css, sx, sz, dec, dec)
+    try:
+        corr = css_decode(css, sx, sz, dec, dec)
+    except DecodingFailed as exc:
+        if not within:
+            raise
+        raise DecodeContractViolation(
+            f"decoder failed for weight {weight} <= radius {radius}: {exc}") from exc
     residual = residual_after_correction(css.ctx, err, corr)
     if check_weight and within and not is_logical_identity(css, residual):
         raise DecodeContractViolation(

@@ -259,3 +259,33 @@ def test_ael_standard_build_and_radius():
         err = random_block_pauli(code.ctx, code.block_count, code.delta, 1, rng)
         _, resid = ael_quantum_decode(std, err)
         assert is_logical_identity(code.css, resid)
+
+
+def test_inner_tables_die_with_their_code():
+    # the inner syndrome tables are keyed by the code itself: a dropped code
+    # leaves none behind for a later code that reuses its id, and each new
+    # code (different inner code every time) decodes single-qudit errors
+    import gc
+
+    from qlrc import ensembles
+
+    f9 = field_new(3, 2)
+    a = rs_code(f9, 5)
+    outer = css_new(a, a)
+    rng = np.random.default_rng(4)
+    gc.collect()
+    live_tables = len(ensembles._INNER_DECODERS)  # codes other tests keep alive
+    for seed in (11, 12, 13, 11, 12, 13):
+        inner = sample_qlrc_with_distance(12, 3, 1, 3, seed=seed, d_min=3)
+        code = ael_build(outer, inner.css, ExpanderGraph.identity(8, 12), delta=12, r_in=3)
+        for side in ("z", "x"):
+            msg = rng.integers(0, 9, size=code.outer.k)
+            w = ael_encode(code, msg, side)
+            i = int(rng.integers(code.n_qudits))
+            w[i] = (w[i] + int(rng.integers(1, 3))) % 3
+            out = ael_decode(code, w, side)
+            assert np.array_equal(out.message, msg) and out.inner_failures == 0
+        assert ensembles._INNER_DECODERS.get(code) is not None
+        del code
+        gc.collect()
+        assert len(ensembles._INNER_DECODERS) == live_tables

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
-from qlrc.classical import frs_code, rs_code
-from qlrc.errors import CapExceeded, RadiusTooLarge
+from qlrc.classical import frs_code, iter_codeword_chunks, rs_code
+from qlrc.ensembles import rs_decode_errors_erasures
+from qlrc.errors import CapExceeded, DecodingFailed, RadiusTooLarge
 from qlrc.gf import field_new
 from qlrc.listdec import (
+    _scalar_ops,
     best_feasible_radius_rs,
     brute_list_decode,
     frs_achieved_radius,
@@ -115,7 +117,7 @@ def test_soundness_every_candidate_within_radius():
 
 
 def test_best_feasible_radius():
-    assert best_feasible_radius_rs(127, 80, 2) == 23  # Berlekamp-Welch bound
+    assert best_feasible_radius_rs(127, 80, 2) == 23  # unique-decoding bound
     assert best_feasible_radius_rs(7, 2, 8) == 2
 
 
@@ -181,3 +183,89 @@ def test_rs_planted_multiplicity_four():
         w2[i] = (w2[i] + int(rng.integers(1, 127))) % 127
     got = list_decode_rs(F127, 32, w2, 56, m_cap=4)
     assert any(np.array_equal(g, coeffs) for g in got)
+
+
+# -- Gao's unique decoder ---------------------------------------------------------
+
+F25 = field_new(5, 2)
+
+
+def planted(ctx, ell, n_err, n_erase, rng):
+    """A random codeword, a word with n_err symbol errors, and an erasure mask
+    on n_erase other positions (erased values are scrambled too)."""
+    n = ctx.q - 1
+    coeffs = rng.integers(0, ctx.q, size=ell)
+    word = evaluate_values(ctx, coeffs)
+    pos = rng.choice(n, size=n_err + n_erase, replace=False)
+    bad = word.copy()
+    bad[pos[:n_err]] = ctx.add(word[pos[:n_err]], rng.integers(1, ctx.q, size=n_err))
+    bad[pos[n_err:]] = rng.integers(0, ctx.q, size=n_erase)
+    erased = np.zeros(n, dtype=bool)
+    erased[pos[n_err:]] = True
+    return coeffs, bad, erased
+
+
+@pytest.mark.parametrize("ctx,ells", [(F7, range(1, 7)), (F13, range(1, 5))])
+def test_unique_radius_matches_oracle_at_every_e(ctx, ells):
+    n = ctx.q - 1
+    rng = np.random.default_rng(10)
+    for ell in ells:
+        code = rs_code(ctx, ell)
+        for e in range((n - ell) // 2 + 1):
+            words = [rng.integers(0, ctx.q, size=n) for _ in range(8)]
+            words += [planted(ctx, ell, int(rng.integers(0, e + 2)), 0, rng)[1] for _ in range(8)]
+            for w in words:
+                assert words_of(ctx, list_decode_rs(ctx, ell, w, e)) == oracle_words(code, w, e)
+
+
+@pytest.mark.parametrize("ctx,ells", [(F7, (1, 2, 4)), (F13, (1, 4, 7)), (F25, (2, 13))])
+def test_errors_and_erasures_every_pattern_within_radius(ctx, ells):
+    n = ctx.q - 1
+    rng = np.random.default_rng(11)
+    for ell in ells:
+        for n_erase in range(n - ell + 1):
+            for n_err in range((n - ell - n_erase) // 2 + 1):
+                for _ in range(3):
+                    coeffs, bad, erased = planted(ctx, ell, n_err, n_erase, rng)
+                    got = rs_decode_errors_erasures(ctx, ell, bad, erased)
+                    assert np.array_equal(got, coeffs)
+
+
+@pytest.mark.parametrize("ctx,ell", [(F7, 2), (F13, 3), (F25, 2)])
+def test_errors_and_erasures_past_radius_fails_or_is_exact(ctx, ell):
+    # a returned message must be the one codeword within the radius on the
+    # unerased positions; a failure must mean no codeword is that close
+    n = ctx.q - 1
+    codewords = np.vstack(list(iter_codeword_chunks(ctx, rs_code(ctx, ell).basis)))
+    rng = np.random.default_rng(12)
+    outcomes = set()
+    for _ in range(300):
+        n_erase = int(rng.integers(0, n - ell + 2))  # n - ell + 1 leaves too few symbols
+        n_err = int(rng.integers((n - ell - n_erase) // 2 + 1, n - n_erase + 1))
+        _, bad, erased = planted(ctx, ell, n_err, n_erase, rng)
+        radius = (n - n_erase - ell) // 2
+        dist = np.count_nonzero((codewords != bad) & ~erased, axis=1)
+        try:
+            got = evaluate_values(ctx, rs_decode_errors_erasures(ctx, ell, bad, erased))
+        except DecodingFailed:
+            assert dist.min() > radius
+            outcomes.add("failed")
+            continue
+        assert np.count_nonzero((got != bad) & ~erased) <= radius
+        outcomes.add("decoded")
+    assert outcomes == {"failed", "decoded"}
+
+
+@pytest.mark.parametrize("p,m", [(5, 2), (2, 3), (3, 3)])
+def test_extension_scalar_ops_match_field_exhaustively(p, m):
+    ctx = field_new(p, m)
+    ops = _scalar_ops(ctx)
+    elems = np.arange(ctx.q, dtype=np.int64)
+    for a in range(ctx.q):
+        assert [ops.add(a, b) for b in range(ctx.q)] == ctx.add(a, elems).tolist()
+        assert [ops.mul(a, b) for b in range(ctx.q)] == ctx.mul(a, elems).tolist()
+        acc = elems.tolist()
+        ops.sub_scaled(acc, a, elems.tolist(), 0)  # acc[b] = b - a*b
+        assert acc == ctx.sub(elems, ctx.mul(a, elems)).tolist()
+        if a:
+            assert ops.inv(a) == ctx.inv(a)

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from qlrc import qtbdec
 from qlrc.classical import eval_code, iter_codeword_chunks
 from qlrc.css import PauliError, is_logical_identity, random_pauli
-from qlrc.errors import DecodingFailed
+from qlrc.errors import DecodeContractViolation, DecodingFailed
 from qlrc.gf import field_new, root_of_unity
 from qlrc.polycode import (
     DensePoly,
@@ -189,3 +190,29 @@ def test_quantum_decode_stabilizer_error_invisible():
     err = PauliError(css.hz[0], css.hx[0])
     corr, resid = quantum_decode(code, err)
     assert is_logical_identity(css, resid)
+
+
+def _raise_decoding_failed(*args, **kwargs):
+    raise DecodingFailed("injected")
+
+
+@pytest.mark.parametrize("folded", [False, True])
+def test_quantum_decode_failure_within_radius_is_contract_violation(monkeypatch, folded):
+    code = fqtb_new(127, 3, 64, 2) if folded else qtb_new(13, 3, 8)
+    monkeypatch.setattr(qtbdec, "dec_c_folded" if folded else "dec_c", _raise_decoding_failed)
+    n = code.base.css.n if folded else code.css.n
+    zero = PauliError(np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64))
+    with pytest.raises(DecodeContractViolation):
+        quantum_decode(code, zero)
+
+
+@pytest.mark.parametrize("folded", [False, True])
+def test_quantum_decode_failure_beyond_radius_propagates(monkeypatch, folded):
+    code = fqtb_new(127, 3, 64, 2) if folded else qtb_new(13, 3, 8)
+    monkeypatch.setattr(qtbdec, "dec_c_folded" if folded else "dec_c", _raise_decoding_failed)
+    s = code.s if folded else 1
+    n = code.base.css.n if folded else code.css.n
+    bx = np.zeros(n, dtype=np.int64)
+    bx[: s * (quantum_decode_radius(code) + 1): s] = 1  # one qudit in each of radius+1 blocks
+    with pytest.raises(DecodingFailed):  # not a DecodeContractViolation
+        quantum_decode(code, PauliError(bx, np.zeros(n, dtype=np.int64)))
