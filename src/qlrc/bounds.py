@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import CapExceeded, DomainError, HypothesisViolated, ViolationFound
-from .gf import FieldCtx, field_from_order, root_of_unity
+from .gf import FieldCtx, _is_prime, field_from_order, root_of_unity
 
 UNCERTAINTY_LOCALITY_CAP = 13  # minor count C(2r, r) explodes beyond this
 
@@ -52,19 +52,8 @@ def surd_floor(a: Fraction, b: Fraction, rad: Fraction) -> int:
 
 
 def surd_ceil(a: Fraction, b: Fraction, rad: Fraction) -> int:
-    f = surd_floor(a, b, rad)
-    return f if _surd_geq(a, b, rad, Fraction(f)) and b * b * rad == (a - f) ** 2 else f + 1
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 1
-    return True
+    """Exact ceiling of a + b*sqrt(rad)."""
+    return -surd_floor(-a, -b, rad)
 
 
 # -- Singleton-type bounds -------------------------------------------------------
@@ -165,12 +154,7 @@ def decode_radius_qtb(q: int, r: int, ell: int) -> int:
 def fqtb_eps(q: int, r: int, ell: int, s: int) -> Fraction:
     """Exact max-min loss term of the folded distance bound."""
     _require_qtb(q, r, ell)
-    lam = 1 - Fraction(ell - 1, q - 1)
-    best = Fraction(0)
-    for m in range(1, r + 1):
-        branch = min(lam * Fraction(m - 1, r), Fraction(1, m) + Fraction(m - 1, s))
-        best = max(best, branch)
-    return best
+    return _eps_maxmin(1 - Fraction(ell - 1, q - 1), r, s)
 
 
 def _require_fqtb(q: int, r: int, ell: int, s: int) -> None:
@@ -403,17 +387,3 @@ def verify_appendix_inequalities(grid_density: int = 100) -> AppendixReport:
     if rep.violations:
         raise ViolationFound(f"{len(rep.violations)} grid violations: {rep.violations[:3]}")
     return rep
-
-
-# -- aggregated reports -----------------------------------------------------------------
-
-@dataclass(frozen=True)
-class BoundReport:
-    name: str
-    inputs: dict
-    value: float
-    hypotheses: dict[str, bool]
-
-    @property
-    def certified(self) -> bool:
-        return all(self.hypotheses.values())

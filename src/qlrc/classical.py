@@ -4,7 +4,7 @@ The exact minimum-weight machinery is the workhorse oracle of the whole
 package. ``min_weight_excluding(C, D)`` enumerates C grouped by its cosets
 of D, so "min weight over C \\ D" never needs a membership test: a word is
 outside D exactly when its coset label is nonzero. Enumeration is chunked
-and vectorized; prime fields ride a single exact matmul per chunk.
+and vectorized: each chunk of codewords is one ``gf.matmul``.
 
 ``min_weight_below`` is the complementary oracle: an increasing-weight
 exhaustive scan that is exact whenever the true distance is small, at cost
@@ -29,8 +29,8 @@ from .errors import (
     NotASubcode,
     ZeroPivot,
 )
-from .gf import FieldCtx, RowSpace, nullspace, rank, rref, solve_right
-from .polycode import evaluate_values, support_tb
+from .gf import FieldCtx, RowSpace, matmul, nullspace, rank, rref, solve_right
+from .polycode import powers, support_tb
 
 DEFAULT_CAP = 1 << 30
 
@@ -95,21 +95,13 @@ class LinearCode:
 
 
 def encode(ctx: FieldCtx, basis: np.ndarray, message: np.ndarray) -> np.ndarray:
-    out = np.zeros(basis.shape[1], dtype=np.int64)
-    for c, row in zip(np.asarray(message, dtype=np.int64).tolist(), basis):
-        if c:
-            out = ctx.add(out, ctx.mul(int(c), row))
-    return out
+    return matmul(ctx, message, basis)
 
 
 def eval_code(ctx: FieldCtx, support: tuple[int, ...]) -> LinearCode:
     """The polynomial evaluation code ev(F_q[X]^support)."""
-    rows = np.zeros((len(support), ctx.q - 1), dtype=np.int64)
-    for a, i in enumerate(sorted(support)):
-        mono = np.zeros(i + 1, dtype=np.int64)
-        mono[i] = 1
-        rows[a] = evaluate_values(ctx, mono)
-    return LinearCode(ctx, rows, support=tuple(sorted(support)))
+    support = tuple(sorted(support))
+    return LinearCode(ctx, powers(ctx, support), support=support)
 
 
 def rs_code(ctx: FieldCtx, ell: int) -> LinearCode:
@@ -163,23 +155,23 @@ def iter_codeword_chunks(ctx: FieldCtx, basis: np.ndarray,
     if k == 0:
         yield np.zeros((1, n), dtype=np.int64)
         return
-    if ctx.m == 1:
-        p = ctx.p
-        exact_float = k * (p - 1) ** 2 < (1 << 52)
-        bf = basis.astype(np.float64) if exact_float else basis
-        for msgs in _message_chunks(ctx.q, k, chunk):
-            if exact_float:
-                words = (msgs.astype(np.float64) @ bf) % p
-                yield words.astype(np.int64)
-            else:
-                yield (msgs @ bf) % p
-    else:
-        for msgs in _message_chunks(ctx.q, k, chunk):
-            words = np.zeros((msgs.shape[0], n), dtype=np.int64)
-            for j in range(k):
-                col = msgs[:, j]
-                words = ctx.add(words, ctx.mul(col[:, None], basis[j][None, :]))
-            yield words
+    for msgs in _message_chunks(ctx.q, k, chunk):
+        yield matmul(ctx, msgs, basis)
+
+
+def quotient_representatives(ctx: FieldCtx, basis: np.ndarray,
+                             sub_basis: np.ndarray) -> np.ndarray:
+    """The rows of ``basis``, in order, that are independent modulo the span
+    of ``sub_basis`` and of the rows taken before them."""
+    stacked = list(sub_basis)
+    out = []
+    for row in basis:
+        if len(stacked) == basis.shape[0]:
+            break
+        if rank(ctx, np.vstack(stacked + [row])) == len(stacked) + 1:
+            stacked.append(row)
+            out.append(row)
+    return np.asarray(out, dtype=np.int64).reshape(-1, basis.shape[1])
 
 
 def min_weight_excluding(code: LinearCode, subcode: LinearCode,
@@ -205,16 +197,8 @@ def min_weight_excluding(code: LinearCode, subcode: LinearCode,
     if total > cap:
         raise CapExceeded(f"enumeration needs {total} > cap {cap}", required=total)
 
-    # quotient representatives: rows of `code` independent modulo `subcode`
-    stacked = [row for row in subcode.basis]
-    for row in code.basis:
-        trial = np.vstack(stacked + [row]) if stacked else row[None, :]
-        if rank(ctx, trial) == len(stacked) + 1:
-            stacked.append(row)
-        if len(stacked) == code.dim:
-            break
-    assert len(stacked) == code.dim
-    basis = np.asarray(stacked, dtype=np.int64)
+    basis = np.vstack([subcode.basis, quotient_representatives(ctx, code.basis, subcode.basis)])
+    assert basis.shape[0] == code.dim
     skip = ctx.q**subcode.dim  # the first `skip` indices enumerate the subcode
 
     best = math.inf
@@ -313,13 +297,7 @@ def min_weight_below(parity: np.ndarray, ctx: FieldCtx, max_weight: int,
         patterns = patterns.reshape(-1, w)
         for supp in _support_combinations(n, w):
             cols = parity[:, supp]
-            # syndromes of every pattern on this support
-            if ctx.m == 1:
-                syn = (patterns.astype(np.int64) @ cols.T.astype(np.int64)) % ctx.p
-            else:
-                syn = np.zeros((patterns.shape[0], parity.shape[0]), dtype=np.int64)
-                for j in range(w):
-                    syn = ctx.add(syn, ctx.mul(patterns[:, j][:, None], cols[:, j][None, :]))
+            syn = matmul(ctx, patterns, cols.T)  # syndromes of every pattern on this support
             hits = np.nonzero(~np.any(syn, axis=1))[0]
             for h in hits.tolist():
                 word = np.zeros(n, dtype=np.int64)
@@ -364,9 +342,6 @@ def local_recover_symbol(code: LinearCode, values: np.ndarray, i: int,
         raise CheckNotInDual("supplied check is not a parity check of the code")
     if check[i] == 0:
         raise ZeroPivot(f"check does not cover position {i}")
-    acc = 0
-    for j in np.nonzero(check)[0].tolist():
-        if j == i:
-            continue
-        acc = ctx.add(acc, ctx.mul(int(check[j]), int(values[j])))
-    return ctx.neg(ctx.div(acc, int(check[i])))
+    others = check.copy()
+    others[i] = 0
+    return ctx.neg(ctx.div(ctx.dot(others, values), int(check[i])))

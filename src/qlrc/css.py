@@ -37,7 +37,7 @@ from .errors import (
     ValidationError,
     ZeroPivot,
 )
-from .gf import FieldCtx, RowSpace, Solver, matvec, nullspace, rank
+from .gf import FieldCtx, RowSpace, Solver, matmul, nullspace, rank
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,29 +142,19 @@ def css_new(cx: LinearCode, cz: LinearCode,
         raise ValidationError(f"block lengths differ: {cx.n} vs {cz.n}")
     ctx = cx.ctx
     hx, hz = cx.dual_basis, cz.dual_basis
-    if hx.shape[0] and hz.shape[0]:
-        if ctx.m == 1 and cx.n * (ctx.p - 1) ** 2 < (1 << 62):
-            prod = (hx @ hz.T) % ctx.p
-        else:
-            prod = np.zeros((hx.shape[0], hz.shape[0]), dtype=np.int64)
-            for j, v in enumerate(hz):
-                col = np.zeros(hx.shape[0], dtype=np.int64)
-                for t in np.nonzero(v)[0].tolist():
-                    col = ctx.add(col, ctx.mul(int(v[t]), hx[:, t]))
-                prod[:, j] = col
-        bad = np.argwhere(prod != 0)
-        if bad.size:
-            i, j = (int(v) for v in bad[0])
-            raise OrthogonalityViolation(
-                f"C_X-dual row {i} is not orthogonal to C_Z-dual row {j}",
-                witness=(hx[i].copy(), hz[j].copy()))
+    bad = np.argwhere(matmul(ctx, hx, hz.T) != 0)
+    if bad.size:
+        i, j = (int(v) for v in bad[0])
+        raise OrthogonalityViolation(
+            f"C_X-dual row {i} is not orthogonal to C_Z-dual row {j}",
+            witness=(hx[i].copy(), hz[j].copy()))
     return CssCode(cx, cz, recovery=tuple(recovery) if recovery is not None else None)
 
 
 def syndrome(code: CssCode, err: PauliError) -> tuple[np.ndarray, np.ndarray]:
     """(H_X @ bx, H_Z @ bz): everything the stabilizer measurements reveal."""
     ctx = code.ctx
-    return matvec(ctx, code.hx, err.bx), matvec(ctx, code.hz, err.bz)
+    return matmul(ctx, code.hx, err.bx), matmul(ctx, code.hz, err.bz)
 
 
 def is_logical_identity(code: CssCode, err: PauliError) -> bool:

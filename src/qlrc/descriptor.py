@@ -28,10 +28,34 @@ class Built:
 
 
 def build(desc: dict) -> Built:
-    """Construct the code a descriptor names, validating its fields."""
+    """Construct the code a descriptor names, validating its fields.
+
+    Every key the descriptor shares with the rebuilt code's own descriptor
+    (the field's p, m, modulus and omega among them) must match it.
+    """
+    built = _construct(desc)
+    for key in sorted(desc.keys() & built.descriptor.keys()):
+        if desc[key] != built.descriptor[key]:
+            raise ValidationError(f"descriptor has {key}={desc[key]!r}, "
+                                  f"but the rebuilt code has {built.descriptor[key]!r}")
+    return built
+
+
+def _construct(desc: dict) -> Built:
     family = desc.get("family")
     if family not in FAMILIES:
         raise ValidationError(f"unknown family {family!r}; expected one of {FAMILIES}")
+    if family == "ael":
+        from .ensembles import ael_standard_build
+
+        std = ael_standard_build(int(desc.get("seed", 0)),
+                                 q_in=int(desc.get("q_in", 5)),
+                                 n_in=int(desc.get("n_in", 24)),
+                                 r_in=int(desc.get("r_in", 3)),
+                                 ell_in=int(desc.get("ell_in", 3)),
+                                 ell_out=int(desc.get("ell_out", 13)),
+                                 delta=int(desc.get("delta", 24)))
+        return Built(family, std, std.descriptor())
     q = desc.get("q")
     if q is None:
         p, m = desc.get("p"), desc.get("m", 1)
@@ -65,24 +89,11 @@ def build(desc: dict) -> Built:
         d.update(family="frs", ell=int(desc["ell"]), s=int(desc["s"]),
                  n=code.block_count, k=code.code.dim)
         return Built(family, code, d)
-    if family == "random_qlrc":
-        from .ensembles import random_qlrc
+    from .ensembles import random_qlrc
 
-        code = random_qlrc(int(desc["n"]), int(desc["r"]), int(desc["ell"]), q,
-                           int(desc.get("seed", 0)))
-        return Built(family, code, code.descriptor())
-    if family == "ael":
-        from .ensembles import ael_standard_build
-
-        std = ael_standard_build(int(desc.get("seed", 0)),
-                                 q_in=int(desc.get("q_in", 5)),
-                                 n_in=int(desc.get("n_in", 24)),
-                                 r_in=int(desc.get("r_in", 3)),
-                                 ell_in=int(desc.get("ell_in", 3)),
-                                 ell_out=int(desc.get("ell_out", 13)),
-                                 delta=int(desc.get("delta", 24)))
-        return Built(family, std, std.descriptor())
-    raise AssertionError
+    code = random_qlrc(int(desc["n"]), int(desc["r"]), int(desc["ell"]), q,
+                       int(desc.get("seed", 0)))
+    return Built(family, code, code.descriptor())
 
 
 def load(path: str) -> dict:
@@ -91,9 +102,3 @@ def load(path: str) -> dict:
     if not isinstance(desc, dict):
         raise ValidationError("descriptor file must hold a JSON object")
     return desc
-
-
-def dump(desc: dict, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(desc, f, indent=2, sort_keys=True)
-        f.write("\n")

@@ -34,7 +34,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .classical import LinearCode, eval_code, min_weight_below, rs_code
+from .classical import LinearCode, min_weight_below, quotient_representatives, rs_code
 from .css import CssCode, PauliError, RecoverySet, css_new
 from .errors import (
     AlphabetMismatch,
@@ -45,7 +45,7 @@ from .errors import (
     SamplingFailedAfterRetries,
     ValidationError,
 )
-from .gf import FieldCtx, RowSpace, Solver, field_new, matvec, nullspace, rank, rref
+from .gf import FieldCtx, RowSpace, field_new, matmul, nullspace, rref
 from .listdec import rs_unique_decode
 from .polycode import evaluate_values
 
@@ -139,11 +139,7 @@ def random_qlrc(n: int, r: int, ell: int, q: int, seed: int) -> RandomQlrc:
         complement = nullspace(ctx, other)  # rows spanning rowspan(other)-perp
         span = RowSpace(ctx, target)
         for _ in range(_REJECTION_TRIES):
-            coeffs = rng.integers(0, ctx.q, size=complement.shape[0])
-            cand = np.zeros(n, dtype=np.int64)
-            for c, row in zip(coeffs.tolist(), complement):
-                if c:
-                    cand = ctx.add(cand, ctx.mul(int(c), row))
+            cand = matmul(ctx, rng.integers(0, ctx.q, size=complement.shape[0]), complement)
             if not span.contains(cand):
                 return np.vstack([target, cand])
         raise SamplingExhausted(
@@ -386,43 +382,20 @@ class LogicalPair:
     lx: np.ndarray  # k x n rows in C_X, adjusted to be dual to lz
 
     def read_z(self, ctx: FieldCtx, word: np.ndarray) -> np.ndarray:
-        """Class of a C_Z word modulo C_X-dual."""
-        return np.asarray([ctx.dot(row, word) for row in self.lx], dtype=np.int64)
+        """Class of a C_Z word modulo C_X-dual (one per row of a 2-D ``word``)."""
+        return matmul(ctx, word, self.lx.T)
 
     def read_x(self, ctx: FieldCtx, word: np.ndarray) -> np.ndarray:
-        return np.asarray([ctx.dot(row, word) for row in self.lz], dtype=np.int64)
+        return matmul(ctx, word, self.lz.T)
 
 
 def logical_pair(code: CssCode) -> LogicalPair:
     ctx = code.ctx
-
-    def reps(big: LinearCode, small_basis: np.ndarray) -> np.ndarray:
-        stacked = [row for row in small_basis]
-        out = []
-        for row in big.basis:
-            trial = np.vstack(stacked + [row])
-            if rank(ctx, trial) == len(stacked) + 1:
-                stacked.append(row)
-                out.append(row)
-        return np.asarray(out, dtype=np.int64)
-
-    lz = reps(code.cz, code.hx)
-    lx = reps(code.cx, code.hz)
-    k = code.k
-    assert lz.shape[0] == k and lx.shape[0] == k
-    gram = np.zeros((k, k), dtype=np.int64)
-    for i in range(k):
-        for j in range(k):
-            gram[i, j] = ctx.dot(lx[i], lz[j])
-    inv = _matrix_inverse(ctx, gram)
-    adjusted = np.zeros_like(lx)
-    for i in range(k):
-        acc = np.zeros(lx.shape[1], dtype=np.int64)
-        for j in range(k):
-            if inv[i, j]:
-                acc = ctx.add(acc, ctx.mul(int(inv[i, j]), lx[j]))
-        adjusted[i] = acc
-    return LogicalPair(lz=lz, lx=adjusted)
+    lz = quotient_representatives(ctx, code.cz.basis, code.hx)
+    lx = quotient_representatives(ctx, code.cx.basis, code.hz)
+    assert lz.shape[0] == code.k and lx.shape[0] == code.k
+    inv = _matrix_inverse(ctx, matmul(ctx, lx, lz.T))
+    return LogicalPair(lz=lz, lx=matmul(ctx, inv, lx))
 
 
 def _matrix_inverse(ctx: FieldCtx, m: np.ndarray) -> np.ndarray:
@@ -436,7 +409,7 @@ def _matrix_inverse(ctx: FieldCtx, m: np.ndarray) -> np.ndarray:
 
 # -- flattening between GF(p^k) and GF(p)^k ----------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Flattening:
     """GF(p^k) as a GF(p)-vector space: digits basis and its trace dual."""
 
@@ -444,49 +417,35 @@ class Flattening:
     k: int
     basis: tuple[int, ...]  # p^0, p^1, ..., the polynomial basis
     dual: tuple[int, ...]  # trace-dual basis
+    gram: np.ndarray  # Tr(b_i * b_j) over GF(p)
 
-    def down(self, x: int) -> np.ndarray:
-        """Coordinates in the polynomial basis (the base-p digits)."""
+    def down(self, x: int | np.ndarray) -> np.ndarray:
+        """Coordinates in the polynomial basis (the base-p digits); for an
+        array of elements, one row of coordinates per element."""
         p = self.ctx.p
-        return np.asarray([(x // p**i) % p for i in range(self.k)], dtype=np.int64)
+        return np.asarray(x, dtype=np.int64)[..., None] // p ** np.arange(self.k) % p
 
-    def down_dual(self, x: int) -> np.ndarray:
-        """Coordinates in the trace-dual basis: a_i = Tr(x * b_i)."""
-        return np.asarray([self.ctx.trace(self.ctx.mul(x, b)) for b in self.basis],
-                          dtype=np.int64)
+    def down_dual(self, x: int | np.ndarray) -> np.ndarray:
+        """Coordinates in the trace-dual basis: a_i = Tr(x * b_i), which is
+        GF(p)-linear in the digits of x, so one product with the Gram matrix."""
+        return matmul(field_new(self.ctx.p), self.down(x), self.gram)
 
-    def up(self, digits: np.ndarray) -> int:
+    def up(self, digits: np.ndarray) -> np.ndarray:
+        """The element with these digits; one element per row of a 2-D array."""
         p = self.ctx.p
-        return int(sum(int(d) % p * p**i for i, d in enumerate(digits)))
+        return np.asarray(digits, dtype=np.int64) % p @ p ** np.arange(self.k)
 
-    def up_dual(self, coords: np.ndarray) -> int:
-        out = 0
-        for c, b in zip(np.asarray(coords).tolist(), self.dual):
-            out = self.ctx.add(out, self.ctx.mul(int(c) % self.ctx.p, b))
-        return out
+    def up_dual(self, coords: np.ndarray) -> np.ndarray:
+        return matmul(self.ctx, np.asarray(coords) % self.ctx.p, np.asarray(self.dual))
 
 
 def flattening(ext: FieldCtx) -> Flattening:
     """Build the basis pair for an extension field over its prime subfield."""
-    if ext.m == 1:
-        return Flattening(ctx=ext, k=1, basis=(1,), dual=(1,))
     k = ext.m
-    p = ext.p
-    prime = field_new(p)
-    basis = tuple(p**i for i in range(k))
-    gram = np.zeros((k, k), dtype=np.int64)
-    for i in range(k):
-        for j in range(k):
-            gram[i, j] = ext.trace(ext.mul(basis[i], basis[j]))  # lies in GF(p)
-    inv = _matrix_inverse(prime, gram)
-    dual = []
-    for i in range(k):
-        acc = 0
-        for j in range(k):
-            if inv[i, j]:
-                acc = ext.add(acc, ext.mul(int(inv[i, j]), basis[j]))
-        dual.append(acc)
-    return Flattening(ctx=ext, k=k, basis=basis, dual=tuple(dual))
+    basis = tuple(ext.p**i for i in range(k))
+    gram = np.asarray([[ext.trace(ext.mul(u, v)) for v in basis] for u in basis], dtype=np.int64)
+    dual = matmul(ext, _matrix_inverse(field_new(ext.p), gram), np.asarray(basis))
+    return Flattening(ctx=ext, k=k, basis=basis, dual=tuple(dual.tolist()), gram=gram)
 
 
 # -- the AEL construction ------------------------------------------------------------------
@@ -583,24 +542,12 @@ def ael_build(outer: CssCode, inner: CssCode, graph: ExpanderGraph, delta: int,
     def lift(z_side: bool, outer_basis: np.ndarray) -> list[np.ndarray]:
         """Flatten outer rows (scaled by every basis element) through the
         inner logical section."""
-        rows = []
-        scalars = flat.basis  # both sides scale by the polynomial basis:
-        # the dual pairing is realized by *reading coordinates* in dual bases
-        for brow in outer_basis:
-            for scalar in scalars:
-                scaled = np.asarray([ctx_out.mul(scalar, int(v)) for v in brow],
-                                    dtype=np.int64)
-                row = np.zeros(n_total, dtype=np.int64)
-                for t in range(n_out):
-                    coords = flat.down(int(scaled[t])) if z_side else flat.down_dual(int(scaled[t]))
-                    section = inner_log.lz if z_side else inner_log.lx
-                    for i in range(k_in):
-                        if coords[i]:
-                            row[t * n_in:(t + 1) * n_in] = ctx_in.add(
-                                row[t * n_in:(t + 1) * n_in],
-                                ctx_in.mul(int(coords[i]), section[i]))
-                rows.append(row)
-        return rows
+        down = flat.down if z_side else flat.down_dual
+        section = inner_log.lz if z_side else inner_log.lx
+        # both sides scale by the polynomial basis: the dual pairing is
+        # realized by *reading coordinates* in dual bases
+        return [matmul(ctx_in, down(ctx_out.mul(scalar, brow)), section).reshape(-1)
+                for brow in outer_basis for scalar in flat.basis]
 
     cz_rows = lift(True, outer.cz.basis)
     cx_rows = lift(False, outer.cx.basis)
@@ -668,30 +615,16 @@ def ael_locality_structure(code: AelCode) -> list[tuple[int, tuple[int, ...]]]:
 
 def _outer_encode(code: AelCode, msg: np.ndarray, side: str) -> np.ndarray:
     log = code.outer_logicals
-    section = log.lz if side == "z" else log.lx
-    ctx = code.outer.ctx
-    out = np.zeros(code.n_out, dtype=np.int64)
-    for c, row in zip(np.asarray(msg).tolist(), section):
-        if c:
-            out = ctx.add(out, ctx.mul(int(c), row))
-    return out
+    return matmul(code.outer.ctx, msg, log.lz if side == "z" else log.lx)
 
 
 def ael_encode(code: AelCode, msg: np.ndarray, side: str = "z") -> np.ndarray:
     """Canonical classical codeword carrying the outer message (stabilizer
     components zero)."""
-    ctx_in, ctx_out = code.ctx, code.outer.ctx
     z = _outer_encode(code, msg, side)
+    coords = code.flat.down(z) if side == "z" else code.flat.down_dual(z)
     section = code.inner_logicals.lz if side == "z" else code.inner_logicals.lx
-    pre = np.zeros(code.n_out * code.n_in, dtype=np.int64)
-    for t in range(code.n_out):
-        coords = (code.flat.down(int(z[t])) if side == "z"
-                  else code.flat.down_dual(int(z[t])))
-        for i in range(code.inner.k):
-            if coords[i]:
-                pre[t * code.n_in:(t + 1) * code.n_in] = ctx_in.add(
-                    pre[t * code.n_in:(t + 1) * code.n_in],
-                    ctx_in.mul(int(coords[i]), section[i]))
+    pre = matmul(code.ctx, coords, section).reshape(-1)
     out = np.zeros_like(pre)
     out[code.perm] = pre
     return out
@@ -705,26 +638,29 @@ class _InnerDecoder:
         self.parity = parity
         self.radius = radius
         n = parity.shape[1]
-        self.table: dict[tuple, np.ndarray] = {}
-        zero = np.zeros(n, dtype=np.int64)
-        self.table[tuple(matvec(ctx, parity, zero).tolist())] = zero
         from itertools import combinations, product
 
+        errors = [np.zeros(n, dtype=np.int64)]  # lightest first, so setdefault keeps leaders
         for w in range(1, radius + 1):
             for supp in combinations(range(n), w):
                 for vals in product(range(1, ctx.q), repeat=w):
                     e = np.zeros(n, dtype=np.int64)
                     e[list(supp)] = vals
-                    key = tuple(matvec(ctx, parity, e).tolist())
-                    self.table.setdefault(key, e)
+                    errors.append(e)
+        self.table: dict[tuple, np.ndarray] = {}
+        for e, syn in zip(errors, matmul(ctx, np.asarray(errors), parity.T).tolist()):
+            self.table.setdefault(tuple(syn), e)
 
-    def decode(self, word: np.ndarray) -> np.ndarray | None:
-        """The codeword, or None when the syndrome is outside the table."""
-        syn = tuple(matvec(self.ctx, self.parity, word).tolist())
-        e = self.table.get(syn)
-        if e is None:
-            return None
-        return self.ctx.sub(word, e)
+    def decode(self, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Decode each row: (the codewords, a mask of the rows whose syndrome
+        is in the table); rows outside the table come back unchanged."""
+        errors = np.zeros_like(words)
+        found = np.zeros(words.shape[0], dtype=bool)
+        for i, syn in enumerate(matmul(self.ctx, words, self.parity.T).tolist()):
+            e = self.table.get(tuple(syn))
+            if e is not None:
+                errors[i], found[i] = e, True
+        return self.ctx.sub(words, errors), found
 
 
 def rs_decode_errors_erasures(ctx: FieldCtx, ell: int, values: np.ndarray,
@@ -764,22 +700,13 @@ def ael_decode(code: AelCode, word: np.ndarray, side: str = "z",
     pre = word[code.perm]
     if inner_radius is None:
         inner_radius = 1
-    dec = _inner_decoder_cache(code, side, inner_radius)
-    n_in = code.n_in
-    outer_word = np.zeros(code.n_out, dtype=np.int64)
-    erased = np.zeros(code.n_out, dtype=bool)
-    failures = 0
-    for t in range(code.n_out):
-        sub = pre[t * n_in:(t + 1) * n_in]
-        c = dec.decode(sub)
-        if c is None:
-            erased[t] = True
-            failures += 1
-            continue
-        log = code.inner_logicals
-        coords = (log.read_z(ctx_in, c) if side == "z" else log.read_x(ctx_in, c))
-        outer_word[t] = (code.flat.up(coords) if side == "z"
-                         else code.flat.up_dual(coords))
+    words, found = _inner_decoder_cache(code, side, inner_radius).decode(
+        pre.reshape(code.n_out, code.n_in))
+    log = code.inner_logicals
+    outer_word = (code.flat.up(log.read_z(ctx_in, words)) if side == "z"
+                  else code.flat.up_dual(log.read_x(ctx_in, words)))
+    erased = ~found
+    outer_word[erased] = 0
 
     # outer code components are evaluation codes; decode in the quotient by
     # exact RS decoding and read out the logical class
@@ -791,7 +718,7 @@ def ael_decode(code: AelCode, word: np.ndarray, side: str = "z",
     msg = (log.read_z(ctx_out, decoded) if side == "z"
            else log.read_x(ctx_out, decoded))
     return AelDecodeResult(message=msg, word=ael_encode(code, msg, side),
-                           inner_failures=failures)
+                           inner_failures=int(np.count_nonzero(erased)))
 
 
 # Keyed by the code itself (AelCode hashes by identity), so a table dies
@@ -824,8 +751,15 @@ class AelStandard:
     radius_blocks: int
 
     def descriptor(self) -> dict:
+        """Holds the ``ael_standard_build`` arguments, so it rebuilds the code."""
         return {
             "family": "ael",
+            "seed": self.code.graph.seed,
+            "q_in": self.code.ctx.q,
+            "n_in": self.code.n_in,
+            "r_in": self.code.r_in,
+            "ell_in": self.inner_sample.ell,
+            "ell_out": self.code.outer.cz.dim,
             "inner": self.inner_sample.descriptor(),
             "outer": {"q": self.code.outer.ctx.q, "ell": self.code.outer.cz.dim,
                       "n": self.code.n_out, "k": self.code.outer.k},

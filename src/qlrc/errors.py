@@ -38,10 +38,6 @@ class NonPrimeCharacteristic(ValidationError):
     pass
 
 
-class ReducibleModulus(ValidationError):
-    pass
-
-
 class Overflow(ValidationError):
     pass
 

@@ -19,6 +19,13 @@ Vectorized operations accept numpy integer arrays and operate elementwise.
 Extension fields keep exp/log tables (built once at construction), which
 caps them at q <= 2**22; prime fields have no tables and work for any
 prime below 2**31 with int64 arithmetic.
+
+``matmul(ctx, a, b)`` is the one linear-combination kernel: ``a @ b`` over
+the field with numpy's 1-D/2-D shape rules, reduced once per product. A
+prime field accumulates in float64 while every partial sum k(p-1)^2 stays
+below 2**53 (exact, and BLAS-backed), else in int64 below 2**62; beyond that,
+and for every extension field, the products are summed per base-p digit
+over bounded row blocks.
 """
 
 from __future__ import annotations
@@ -233,13 +240,7 @@ class FieldCtx:
 
     def dot(self, u: np.ndarray, v: np.ndarray) -> int:
         """Standard dot product of two vectors."""
-        prods = self.mul(np.asarray(u), np.asarray(v))
-        if self.m == 1:
-            return int(np.sum(prods.astype(object)) % self.p)
-        acc = 0
-        for x in prods.tolist():
-            acc = self.add(acc, int(x))
-        return acc
+        return int(matmul(self, u, v))
 
     def trace(self, a: int) -> int:
         """Trace to the prime subfield: a + a^p + ... + a^(p^(m-1))."""
@@ -514,7 +515,7 @@ class Solver:
 
     def solve(self, b: np.ndarray) -> np.ndarray | None:
         ctx = self.ctx
-        tb = matvec(ctx, self.transform, b)
+        tb = matmul(ctx, self.transform, b)
         x = np.zeros(self.n, dtype=np.int64)
         for i, p in enumerate(self.pivots):
             x[p] = tb[i]
@@ -524,20 +525,39 @@ class Solver:
         return x
 
 
-def matvec(ctx: FieldCtx, m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """m @ v over the field. Extension fields sum the products per base-p digit."""
-    v = np.asarray(v, dtype=np.int64)
-    if m.shape[0] == 0:
-        return np.zeros(0, dtype=np.int64)
-    if ctx.m == 1 and m.shape[1] * (ctx.p - 1) ** 2 < (1 << 62):
-        return (m @ v) % ctx.p
-    prods = ctx.mul(m, v[None, :])
-    out = np.zeros(m.shape[0], dtype=np.int64)
-    pk = 1
-    for _ in range(ctx.m):
-        out += (prods // pk % ctx.p).sum(axis=1) % ctx.p * pk
-        pk *= ctx.p
-    return out
+_MATMUL_BLOCK_CELLS = 1 << 18  # products held at once by the digit path
+
+
+def matmul(ctx: FieldCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b over the field, with numpy's shapes (1-D or 2-D operands).
+
+    Entries are canonical elements. Prime fields reduce the exact integer
+    product once: in float64 when k(p-1)^2 < 2**53, in int64 when < 2**62.
+    Otherwise the products are formed a block of rows at a time and summed
+    per base-p digit, so at most about ``_MATMUL_BLOCK_CELLS`` exist at once.
+    """
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
+    shape = a.shape[:-1] + b.shape[1:]
+    a2 = np.atleast_2d(a)
+    b2 = b[:, None] if b.ndim == 1 else b
+    p = ctx.p
+    k, cols = b2.shape
+    bound = k * (p - 1) ** 2
+    if ctx.m == 1 and bound < 1 << 53:
+        out = (a2.astype(np.float64) @ b2.astype(np.float64)).astype(np.int64) % p
+    elif ctx.m == 1 and bound < 1 << 62:
+        out = a2 @ b2 % p
+    else:
+        out = np.zeros((a2.shape[0], cols), dtype=np.int64)
+        step = max(1, _MATMUL_BLOCK_CELLS // max(1, k * cols))
+        for lo in range(0, a2.shape[0], step):
+            prods = ctx.mul(a2[lo:lo + step, :, None], b2[None, :, :])
+            pk = 1
+            for _ in range(ctx.m):
+                out[lo:lo + step] += (prods // pk % p).sum(axis=1) % p * pk
+                pk *= p
+    return out.reshape(shape)
 
 
 class RowSpace:

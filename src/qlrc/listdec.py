@@ -30,8 +30,8 @@ import numpy as np
 
 from .classical import FoldedCode, LinearCode, block_weight, iter_codeword_chunks
 from .errors import CapExceeded, RadiusTooLarge, ValidationError
-from .gf import FieldCtx, matvec, nullspace
-from .polycode import evaluate_values
+from .gf import FieldCtx, matmul, nullspace, solve_right
+from .polycode import evaluate_values, powers
 
 GS_MULTIPLICITY_CAP = 8
 FRS_SHIFT_CAP = 3  # interpolation variables; solution space has dim < v
@@ -187,9 +187,7 @@ def _scalar_ops(ctx: FieldCtx) -> _PrimeOps | _ExtOps:
 def _idft_matrix(ctx: FieldCtx) -> np.ndarray:
     """Interpolation over the positions omega^i: coefficient j of the
     polynomial through y is n^-1 sum_i y_i omega^(-ij), and n^-1 = -1."""
-    n = ctx.q - 1
-    idx = np.arange(n)
-    return ctx.neg(ctx.units()[(-np.outer(idx, idx)) % n])
+    return ctx.neg(powers(ctx, -np.arange(ctx.q - 1)))
 
 
 def _trim(a: list[int]) -> list[int]:
@@ -232,7 +230,7 @@ def rs_unique_decode(ctx: FieldCtx, ell: int, received: np.ndarray,
     n = ctx.q - 1
     ops = _scalar_ops(ctx)
     g0 = [ctx.p - 1] + [0] * (n - 1) + [1]  # x^n - 1; p - 1 encodes -1
-    g1 = _trim(matvec(ctx, _idft_matrix(ctx), received).tolist())
+    g1 = _trim(matmul(ctx, _idft_matrix(ctx), received).tolist())
     n_avail = n
     if erased is not None and np.any(erased):
         locator = [1]
@@ -474,26 +472,18 @@ def list_decode_frs(ctx: FieldCtx, ell: int, s: int, blocks: np.ndarray, e: int,
     big = np.vstack(mats)
     rhs = np.concatenate(rhss)
 
-    from .gf import solve_right
-
     part = solve_right(ctx, big, rhs)
     if part is None:
         return []
     ker_f = nullspace(ctx, big)
-    if ctx.q ** ker_f.shape[0] > enum_cap:
-        raise CapExceeded(
-            f"folded candidate space has dimension {ker_f.shape[0]}",
-            required=ctx.q ** ker_f.shape[0])
-    out = []
-    for coeffs in product(range(ctx.q), repeat=ker_f.shape[0]):
-        f = part.copy()
-        for c, k_row in zip(coeffs, ker_f):
-            if c:
-                f = ctx.add(f, ctx.mul(int(c), k_row))
-        word = evaluate_values(ctx, f).reshape(n_blocks, s)
-        if int(np.count_nonzero(np.any(word != blocks, axis=1))) <= e:
-            out.append(f)
-    return _dedupe_sorted(out)
+    dim = ker_f.shape[0]
+    if ctx.q**dim > enum_cap:
+        raise CapExceeded(f"folded candidate space has dimension {dim}", required=ctx.q**dim)
+    coeffs = np.array(list(product(range(ctx.q), repeat=dim)), dtype=np.int64)
+    fs = ctx.add(part, matmul(ctx, coeffs.reshape(ctx.q**dim, dim), ker_f))
+    words = evaluate_values(ctx, fs).reshape(-1, n_blocks, s)
+    close = np.count_nonzero(np.any(words != blocks, axis=2), axis=1) <= e
+    return _dedupe_sorted(list(fs[close]))
 
 
 # -- exhaustive oracle ------------------------------------------------------------

@@ -11,11 +11,17 @@ family: the classical set drops exponents congruent to r-1 mod r below
 the degree cutoff, and the quantum set adds back every exponent congruent
 to 1 mod r so that the resulting evaluation code contains the dual it
 needs for the CSS condition.
+
+Evaluation is linear algebra: ``powers(ctx, exps)`` gathers the matrix whose
+row a holds x^exps[a] at every position (``units[(exps[a] * j) mod (q-1)]``),
+so an evaluation code's basis is one gather and ``evaluate_values`` is one
+``gf.matmul`` of the coefficients (a vector, or a batch of rows) with it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -28,7 +34,7 @@ from .errors import (
     NotADivisor,
     ZeroShift,
 )
-from .gf import FieldCtx
+from .gf import FieldCtx, matmul
 
 
 def _check_tb_params(q: int, r: int, ell: int) -> None:
@@ -74,23 +80,6 @@ def support_piecewise(q: int, r: int) -> tuple[int, ...]:
 
 
 @dataclass(frozen=True)
-class SupportSet:
-    """A sorted, deduplicated set of exponents below q-1."""
-
-    ctx: FieldCtx
-    indices: tuple[int, ...]
-
-    def __post_init__(self):
-        idx = tuple(sorted(set(int(i) for i in self.indices)))
-        if idx and (idx[0] < 0 or idx[-1] > self.ctx.q - 2):
-            raise BadDegree(f"exponents must lie in [0, q-2], got {idx[0]}..{idx[-1]}")
-        object.__setattr__(self, "indices", idx)
-
-    def __len__(self):
-        return len(self.indices)
-
-
-@dataclass(frozen=True)
 class DensePoly:
     """Coefficient vector indexed by exponent, trailing zeros trimmed."""
 
@@ -121,12 +110,6 @@ class DensePoly:
     def key(self) -> tuple[int, ...]:
         """Canonical tie-break key: the coefficient tuple."""
         return tuple(self.coeffs.tolist())
-
-
-def poly_from_support(ctx: FieldCtx, support: tuple[int, ...], values: np.ndarray) -> DensePoly:
-    coeffs = np.zeros(max(support) + 1 if support else 0, dtype=np.int64)
-    coeffs[list(support)] = np.asarray(values, dtype=np.int64)
-    return DensePoly(ctx, coeffs)
 
 
 @dataclass(frozen=True)
@@ -169,25 +152,24 @@ class FoldedWord:
         return int(np.count_nonzero(np.any(self.blocks != 0, axis=1)))
 
 
+def powers(ctx: FieldCtx, exps: Sequence[int] | np.ndarray) -> np.ndarray:
+    """Row a is x^exps[a] evaluated at every position x = omega^j."""
+    exps = np.asarray(exps, dtype=np.int64)
+    n = ctx.q - 1
+    return ctx.units()[exps[:, None] * np.arange(n) % n]
+
+
 def evaluate(f: DensePoly) -> EvalWord:
     """Evaluate on all of GF(q)* in position order."""
-    ctx = f.ctx
-    if f.degree >= ctx.q - 1:
-        raise DegreeOverflow(f"degree {f.degree} >= q-1 = {ctx.q - 1}")
-    xs = ctx.units()
-    acc = np.zeros(ctx.q - 1, dtype=np.int64)
-    for c in f.coeffs[::-1].tolist():
-        acc = ctx.add(ctx.mul(acc, xs), c)
-    return EvalWord(ctx, acc)
+    if f.degree >= f.ctx.q - 1:
+        raise DegreeOverflow(f"degree {f.degree} >= q-1 = {f.ctx.q - 1}")
+    return EvalWord(f.ctx, evaluate_values(f.ctx, f.coeffs))
 
 
 def evaluate_values(ctx: FieldCtx, coeffs: np.ndarray) -> np.ndarray:
-    """Raw-array variant of evaluate, for inner loops."""
-    xs = ctx.units()
-    acc = np.zeros(ctx.q - 1, dtype=np.int64)
-    for c in np.asarray(coeffs)[::-1].tolist():
-        acc = ctx.add(ctx.mul(acc, xs), int(c))
-    return acc
+    """Raw-array variant of evaluate; a 2-D ``coeffs`` evaluates each row."""
+    coeffs = np.asarray(coeffs, dtype=np.int64)
+    return matmul(ctx, coeffs, powers(ctx, np.arange(coeffs.shape[-1])))
 
 
 def fold(w: EvalWord, s: int) -> FoldedWord:

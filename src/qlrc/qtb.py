@@ -32,7 +32,7 @@ from .errors import (
     FoldNotDividing,
     SiblingErased,
 )
-from .gf import FieldCtx, field_from_order
+from .gf import FieldCtx, _is_prime, field_from_order
 from .polycode import (
     coset_index_groups,
     coset_stride,
@@ -69,17 +69,6 @@ def _check_params(q: int, r: int, ell: int, require_prime: bool,
         raise BadDegree(f"ell={ell} must lie in [1, q-1]")
     if 2 * ell < q:
         raise DegreeTooSmall(f"2*ell={2 * ell} < q={q}: dual support undefined below q/2")
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 1
-    return True
 
 
 @dataclass(frozen=True, eq=False)

@@ -203,7 +203,8 @@ def test_criterion_06_list_decoder_oracle_equivalence():
             assert have == want, (idx, e)
 
     # folded GF(13), ell = 2, s = 2: exhaustive 169-polynomial oracle on
-    # planted corruptions of every codeword at every radius, plus random words
+    # planted corruptions of every codeword on every block support of every
+    # size up to the radius, plus random words
     f13 = field_new(13)
     from qlrc.classical import frs_code
 
@@ -235,9 +236,6 @@ def test_criterion_06_list_decoder_oracle_equivalence():
                 for b in blocks:
                     w[2 * b: 2 * b + 2] = rng.integers(0, 13, size=2)
                 check_folded(w)
-                break  # one random pattern per support size keeps this exhaustive in e
-        for blocks in itertools.combinations(range(6), 2):
-            pass
     for _ in range(400):
         check_folded(rng.integers(0, 13, size=12))
     elapsed = time.time() - started

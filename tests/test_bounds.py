@@ -147,7 +147,10 @@ def test_surd_rounding_fuzz():
         assert fl <= val + 1e-9
         assert val - 1 < fl + 1e-9
         ce = surd_ceil(a, b, rad)
-        assert ce - 1 < val + 1e-9 <= ce + 1e-9 + 1
+        assert ce - 1 < val + 1e-9
+        assert val <= ce + 1e-9
+    # b*sqrt(rad) = a - floor > 0: the ceiling of 1/4 + sqrt(1/16) = 1/2 is 1
+    assert surd_ceil(Fraction(1, 4), Fraction(1), Fraction(1, 16)) == 1
 
 
 def test_two_e_below_certified_distance_on_grid():

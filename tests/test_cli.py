@@ -122,6 +122,48 @@ def test_construct_roundtrip(tmp_path, capsys):
     assert json.loads(out)["k"] == 2
 
 
+@pytest.mark.parametrize("flags", [
+    ("--family", "qtb", "--q", "13", "--r", "3", "--ell", "8"),
+    ("--family", "fqtb", "--q", "13", "--r", "3", "--ell", "8", "--s", "2"),
+    ("--family", "rs", "--q", "9", "--ell", "4"),
+    ("--family", "tb", "--q", "13", "--r", "3", "--ell", "8"),
+    ("--family", "frs", "--q", "13", "--ell", "4", "--s", "2"),
+    ("--family", "random_qlrc", "--q", "5", "--n", "12", "--r", "3", "--ell", "2", "--seed", "3"),
+    ("--family", "ael", "--seed", "90"),
+])
+def test_construct_load_roundtrip_every_family(tmp_path, capsys, flags):
+    path = tmp_path / "code.json"
+    code, _, err = run(capsys, "construct", *flags, "--out", str(path))
+    assert code == 0, err
+    code, out, err = run(capsys, "construct", "--descriptor", str(path))
+    assert code == 0, err
+    assert json.loads(out) == json.loads(path.read_text())
+
+
+def test_ael_descriptor_simulates(tmp_path, capsys):
+    path = tmp_path / "ael.json"
+    assert run(capsys, "construct", "--family", "ael", "--seed", "90", "--out", str(path))[0] == 0
+    code, out, err = run(capsys, "simulate", "--descriptor", str(path), "--trials", "2")
+    assert code == 0, err
+    assert json.loads(out)["successes"] == 2
+
+
+@pytest.mark.parametrize("flags,key,value", [
+    (("--family", "qtb", "--q", "13", "--r", "3", "--ell", "8"), "omega", 6),
+    (("--family", "rs", "--q", "9", "--ell", "4"), "modulus", [2, 1, 1]),
+])
+def test_tampered_descriptor_exits_2(tmp_path, capsys, flags, key, value):
+    path = tmp_path / "code.json"
+    assert run(capsys, "construct", *flags, "--out", str(path))[0] == 0
+    desc = json.loads(path.read_text())
+    assert desc[key] != value
+    desc[key] = value
+    path.write_text(json.dumps(desc))
+    code, _, err = run(capsys, "params", "--descriptor", str(path))
+    assert code == 2
+    assert key in err
+
+
 def test_ensemble_gv(capsys):
     code, out, _ = run(capsys, "ensemble", "--kind", "gv", "--n", "9", "--r", "3",
                        "--ell", "1", "--q", "4", "--trials", "8", "--seed", "4")

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qlrc import gf
 from qlrc.errors import NonPrimeCharacteristic, NotADivisor, Overflow, ZeroElement
 from qlrc.gf import (
     FieldCtx,
@@ -13,6 +14,7 @@ from qlrc.gf import (
     coset,
     field_from_order,
     field_new,
+    matmul,
     nullspace,
     rank,
     root_of_unity,
@@ -216,3 +218,56 @@ def test_trace_lands_in_prime_subfield():
     for a in range(25):
         t = ctx.trace(a)
         assert 0 <= t < 5
+
+
+def _matmul_oracle(ctx, a, b):
+    """a @ b by a scalar triple loop: one field add and mul per term."""
+    a2 = np.atleast_2d(a)
+    b2 = b[:, None] if b.ndim == 1 else b
+    out = np.zeros((a2.shape[0], b2.shape[1]), dtype=np.int64)
+    for i in range(a2.shape[0]):
+        for j in range(b2.shape[1]):
+            acc = 0
+            for t in range(b2.shape[0]):
+                acc = ctx.add(acc, ctx.mul(int(a2[i, t]), int(b2[t, j])))
+            out[i, j] = acc
+    return out.reshape(np.matmul(np.zeros(a.shape), np.zeros(b.shape)).shape)
+
+
+# GF(7), GF(13): float64 path; 2^27 - 39: int64 path; 2^31 - 1: digit path
+# once k >= 2; the extension fields always take the digit path
+MATMUL_FIELDS = [(7, 1), (13, 1), (2**27 - 39, 1), (2**31 - 1, 1), (5, 2), (2, 3), (3, 3)]
+
+
+@pytest.mark.parametrize("p,m", MATMUL_FIELDS)
+def test_matmul_matches_scalar_oracle_for_every_shape(p, m):
+    ctx = field_new(p, m)
+    rng = np.random.default_rng(p + m)
+    for k in (0, 1, 5):
+        for rows in (0, 3):
+            for cols in (0, 4):
+                a2 = rng.integers(0, ctx.q, size=(rows, k))
+                b2 = rng.integers(0, ctx.q, size=(k, cols))
+                a1 = rng.integers(0, ctx.q, size=k)
+                b1 = rng.integers(0, ctx.q, size=k)
+                for a, b in ((a2, b2), (a2, b1), (a1, b2), (a1, b1)):
+                    got = matmul(ctx, a, b)
+                    want = _matmul_oracle(ctx, a, b)
+                    assert got.shape == want.shape, (a.shape, b.shape)
+                    assert np.array_equal(got, want), (a.shape, b.shape)
+    top = np.full((3, 3), ctx.q - 1)  # largest partial sums the accumulator meets
+    assert np.array_equal(matmul(ctx, top, top), _matmul_oracle(ctx, top, top))
+    u, v = rng.integers(0, ctx.q, size=(2, 6))
+    assert ctx.dot(u, v) == int(_matmul_oracle(ctx, u, v))
+
+
+@pytest.mark.parametrize("p,m", MATMUL_FIELDS)
+def test_matmul_row_blocks(p, m, monkeypatch):
+    # 25 rows at 40 cells per block: blocks of 2 rows and a short last one
+    monkeypatch.setattr(gf, "_MATMUL_BLOCK_CELLS", 40)
+    ctx = field_new(p, m)
+    rng = np.random.default_rng(7)
+    a = rng.integers(0, ctx.q, size=(25, 5))
+    b = rng.integers(0, ctx.q, size=(5, 4))
+    assert np.array_equal(matmul(ctx, a, b), _matmul_oracle(ctx, a, b))
+

@@ -15,6 +15,7 @@ from qlrc.polycode import (
     evaluate_values,
     fold,
     mod_reduce,
+    powers,
     support_piecewise,
     support_qtb,
     support_qtb_dual,
@@ -102,6 +103,34 @@ def test_evaluate_injective_via_full_rank(q):
         mono[i] = 1
         rows[i] = evaluate_values(ctx, mono)
     assert rank(ctx, rows) == q - 1
+
+
+@pytest.mark.parametrize("p,m", [(13, 1), (5, 2)])
+def test_powers_and_evaluate_values_match_horner(p, m):
+    ctx = field_new(p, m)
+    n = ctx.q - 1
+    units = ctx.units().tolist()
+
+    def horner(coeffs):
+        out = []
+        for x in units:
+            acc = 0
+            for c in reversed(list(coeffs)):
+                acc = ctx.add(ctx.mul(acc, x), int(c))
+            out.append(acc)
+        return out
+
+    exps = np.arange(-n, 2 * n)  # x^e = x^(e mod n) on GF(q)*
+    table = powers(ctx, exps)
+    for e, row in zip(exps.tolist(), table.tolist()):
+        assert row == horner([0] * (e % n) + [1]), e
+    rng = np.random.default_rng(3)
+    batch = rng.integers(0, ctx.q, size=(6, n + 3))
+    got = evaluate_values(ctx, batch)
+    assert got.shape == (6, n)
+    for row, coeffs in zip(got.tolist(), batch):
+        assert row == horner(coeffs)
+        assert evaluate_values(ctx, coeffs).tolist() == row
 
 
 def test_evaluate_injective_exhaustive_tiny():
