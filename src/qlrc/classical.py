@@ -342,6 +342,7 @@ def local_recover_symbol(code: LinearCode, values: np.ndarray, i: int,
         raise CheckNotInDual("supplied check is not a parity check of the code")
     if check[i] == 0:
         raise ZeroPivot(f"check does not cover position {i}")
-    others = check.copy()
-    others[i] = 0
-    return ctx.neg(ctx.div(ctx.dot(others, values), int(check[i])))
+    others = np.flatnonzero(check)
+    others = others[others != i]
+    values = np.asarray(values, dtype=np.int64)
+    return ctx.neg(ctx.div(ctx.dot(check[others], values[others]), int(check[i])))

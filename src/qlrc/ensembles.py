@@ -765,7 +765,6 @@ class AelStandard:
                       "n": self.code.n_out, "k": self.code.outer.k},
             "graph": self.code.graph.descriptor(),
             "delta": self.code.delta,
-            "r_in": self.code.r_in,
             "n_blocks": self.code.block_count,
             "n_qudits": self.code.n_qudits,
             "k_qudits": self.code.k_qudits,

@@ -23,9 +23,8 @@ prime below 2**31 with int64 arithmetic.
 ``matmul(ctx, a, b)`` is the one linear-combination kernel: ``a @ b`` over
 the field with numpy's 1-D/2-D shape rules, reduced once per product. A
 prime field accumulates in float64 while every partial sum k(p-1)^2 stays
-below 2**53 (exact, and BLAS-backed), else in int64 below 2**62; beyond that,
-and for every extension field, the products are summed per base-p digit
-over bounded row blocks.
+below 2**53 (exact, and BLAS-backed); beyond that, and for every extension
+field, the products are summed per base-p digit over bounded row blocks.
 """
 
 from __future__ import annotations
@@ -531,10 +530,10 @@ _MATMUL_BLOCK_CELLS = 1 << 18  # products held at once by the digit path
 def matmul(ctx: FieldCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b over the field, with numpy's shapes (1-D or 2-D operands).
 
-    Entries are canonical elements. Prime fields reduce the exact integer
-    product once: in float64 when k(p-1)^2 < 2**53, in int64 when < 2**62.
-    Otherwise the products are formed a block of rows at a time and summed
-    per base-p digit, so at most about ``_MATMUL_BLOCK_CELLS`` exist at once.
+    Entries are canonical elements. Prime fields with k(p-1)^2 < 2**53 reduce
+    the exact float64 product once. Otherwise the products are formed a block
+    of rows at a time and summed per base-p digit, so at most about
+    ``_MATMUL_BLOCK_CELLS`` exist at once.
     """
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
@@ -543,11 +542,8 @@ def matmul(ctx: FieldCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     b2 = b[:, None] if b.ndim == 1 else b
     p = ctx.p
     k, cols = b2.shape
-    bound = k * (p - 1) ** 2
-    if ctx.m == 1 and bound < 1 << 53:
+    if ctx.m == 1 and k * (p - 1) ** 2 < 1 << 53:
         out = (a2.astype(np.float64) @ b2.astype(np.float64)).astype(np.int64) % p
-    elif ctx.m == 1 and bound < 1 << 62:
-        out = a2 @ b2 % p
     else:
         out = np.zeros((a2.shape[0], cols), dtype=np.int64)
         step = max(1, _MATMUL_BLOCK_CELLS // max(1, k * cols))

@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 
 import numpy as np
 
@@ -36,6 +35,7 @@ from .polycode import evaluate_values, powers
 GS_MULTIPLICITY_CAP = 8
 FRS_SHIFT_CAP = 3  # interpolation variables; solution space has dim < v
 FRS_ENUM_CAP = 1 << 16
+_FRS_CHUNK = 1 << 10  # folded candidates evaluated at once
 
 
 def johnson_radius_rs(q: int, ell: int) -> int:
@@ -479,11 +479,12 @@ def list_decode_frs(ctx: FieldCtx, ell: int, s: int, blocks: np.ndarray, e: int,
     dim = ker_f.shape[0]
     if ctx.q**dim > enum_cap:
         raise CapExceeded(f"folded candidate space has dimension {dim}", required=ctx.q**dim)
-    coeffs = np.array(list(product(range(ctx.q), repeat=dim)), dtype=np.int64)
-    fs = ctx.add(part, matmul(ctx, coeffs.reshape(ctx.q**dim, dim), ker_f))
-    words = evaluate_values(ctx, fs).reshape(-1, n_blocks, s)
-    close = np.count_nonzero(np.any(words != blocks, axis=2), axis=1) <= e
-    return _dedupe_sorted(list(fs[close]))
+    out = []
+    for chunk in iter_codeword_chunks(ctx, ker_f, chunk=_FRS_CHUNK):
+        fs = ctx.add(part, chunk)
+        words = evaluate_values(ctx, fs).reshape(-1, n_blocks, s)
+        out.extend(fs[np.count_nonzero(np.any(words != blocks, axis=2), axis=1) <= e])
+    return _dedupe_sorted(out)
 
 
 # -- exhaustive oracle ------------------------------------------------------------

@@ -229,6 +229,11 @@ def test_local_recover_random_trials():
         check[g] = units[g]
         pos = int(g[rng.integers(3)])
         assert local_recover_symbol(code, c, pos, check) == c[pos]
+        # only the check's other positions are read: blank out the rest
+        seen = np.full(12, -1, dtype=np.int64)
+        seen[g] = c[g]
+        seen[pos] = -1
+        assert local_recover_symbol(code, seen, pos, check) == c[pos]
 
 
 def test_local_recover_rejections():

@@ -234,8 +234,8 @@ def _matmul_oracle(ctx, a, b):
     return out.reshape(np.matmul(np.zeros(a.shape), np.zeros(b.shape)).shape)
 
 
-# GF(7), GF(13): float64 path; 2^27 - 39: int64 path; 2^31 - 1: digit path
-# once k >= 2; the extension fields always take the digit path
+# GF(7), GF(13): float64 path; 2^27 - 39 (products near 2^54) and 2^31 - 1
+# (near 2^62): the prime digit path; the extension fields: the digit path
 MATMUL_FIELDS = [(7, 1), (13, 1), (2**27 - 39, 1), (2**31 - 1, 1), (5, 2), (2, 3), (3, 3)]
 
 
