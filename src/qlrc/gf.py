@@ -154,6 +154,7 @@ class FieldCtx:
     _exp: np.ndarray = field(repr=False, default=None)
     _log: np.ndarray = field(repr=False, default=None)
     _inv_table: np.ndarray = field(repr=False, default=None)
+    _units: np.ndarray = field(repr=False, default=None)
 
     # -- scalar/array arithmetic (all polymorphic in int vs ndarray) --------
 
@@ -252,15 +253,19 @@ class FieldCtx:
     # -- structure -----------------------------------------------------------
 
     def units(self) -> np.ndarray:
-        """All nonzero elements in position order omega^0, ..., omega^(q-2)."""
-        if self.m == 1:
-            out = np.empty(self.q - 1, dtype=np.int64)
-            cur = 1
-            for i in range(self.q - 1):
-                out[i] = cur
-                cur = (cur * self.omega) % self.p
-            return out
-        return self._exp[: self.q - 1].copy()
+        """Nonzero elements in position order omega^0..omega^(q-2); built once, read-only."""
+        if self._units is None:
+            if self.m == 1:
+                out = np.empty(self.q - 1, dtype=np.int64)
+                cur = 1
+                for i in range(self.q - 1):
+                    out[i] = cur
+                    cur = (cur * self.omega) % self.p
+            else:
+                out = self._exp[: self.q - 1].copy()
+            out.flags.writeable = False
+            object.__setattr__(self, "_units", out)
+        return self._units
 
     def log(self, a: int) -> int:
         """Discrete log base omega."""
@@ -434,7 +439,9 @@ def coset(ctx: FieldCtx, r: int, x: int) -> frozenset[int]:
 def rref(ctx: FieldCtx, mat: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form. Returns (R, pivot_columns).
 
-    R has the same shape as ``mat``; zero rows sink to the bottom.
+    R has the same shape as ``mat``; zero rows sink to the bottom. When
+    column c is eliminated the pivot row is zero left of c, so only
+    columns c onward are updated.
     """
     a = np.array(mat, dtype=np.int64, copy=True)
     rows, cols = a.shape
@@ -449,12 +456,12 @@ def rref(ctx: FieldCtx, mat: np.ndarray) -> tuple[np.ndarray, list[int]]:
         i = r + int(nz[0])
         if i != r:
             a[[r, i]] = a[[i, r]]
-        a[r] = ctx.mul(a[r], ctx.inv(int(a[r, c])))
+        a[r, c:] = ctx.mul(a[r, c:], ctx.inv(int(a[r, c])))
         col = a[:, c].copy()
         col[r] = 0
         mask = col != 0
         if np.any(mask):
-            a[mask] = ctx.sub(a[mask], ctx.mul(col[mask, None], a[r][None, :]))
+            a[mask, c:] = ctx.sub(a[mask, c:], ctx.mul(col[mask, None], a[r, c:][None, :]))
         pivots.append(c)
         r += 1
     return a, pivots
@@ -573,31 +580,22 @@ class RowSpace:
         return len(self.pivots)
 
     def reduce(self, v: np.ndarray) -> np.ndarray:
-        """Residue of v modulo the row space (zero iff member)."""
-        ctx = self.ctx
-        v = np.array(v, dtype=np.int64, copy=True)
-        for ri, pc in enumerate(self.pivots):
-            c = int(v[pc])
-            if c:
-                v = ctx.sub(v, ctx.mul(c, self.rref[ri]))
-        return v
+        """Residue of v modulo the row space (zero iff member).
+
+        Every RREF row is zero at the other rows' pivots, so the coefficient
+        of row i is v's own entry at pivot i: the residue is one product.
+        """
+        v = np.asarray(v, dtype=np.int64)
+        return self.ctx.sub(v, matmul(self.ctx, v[self.pivots], self.rref))
 
     def contains(self, v: np.ndarray) -> bool:
         return not np.any(self.reduce(v))
 
     def coordinates(self, v: np.ndarray) -> np.ndarray | None:
         """Coefficients of v in the RREF basis, or None if not a member."""
-        ctx = self.ctx
-        v = np.array(v, dtype=np.int64, copy=True)
-        coeff = np.zeros(self.dim, dtype=np.int64)
-        for ri, pc in enumerate(self.pivots):
-            c = int(v[pc])
-            if c:
-                coeff[ri] = c
-                v = ctx.sub(v, ctx.mul(c, self.rref[ri]))
-        if np.any(v):
+        if np.any(self.reduce(v)):
             return None
-        return coeff
+        return np.asarray(v, dtype=np.int64)[self.pivots]
 
     def __eq__(self, other):
         return (isinstance(other, RowSpace) and self.ctx == other.ctx

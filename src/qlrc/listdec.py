@@ -16,7 +16,10 @@ it is returned, so the output is exact, never a superset):
   evaluations, followed by solving the small linear system the candidate
   message must satisfy. Its guaranteed radius depends on the chosen v and
   is reported by ``frs_achieved_radius`` rather than asserted from
-  asymptotic constants.
+  asymptotic constants. When s*e <= (n-ell)//2 (every v = 1 choice is such
+  a radius) the folded list is Gao's answer on the unfolded word, kept if
+  it is within e blocks: a message within e blocks is within s*e symbols,
+  where there is at most one.
 """
 
 from __future__ import annotations
@@ -407,10 +410,14 @@ def list_decode_frs(ctx: FieldCtx, ell: int, s: int, blocks: np.ndarray, e: int,
                     enum_cap: int = FRS_ENUM_CAP) -> list[np.ndarray]:
     """Complete list of degree-<ell messages within e block errors.
 
-    Interpolates Q(X, Y_1..Y_v) = A_0(X) + sum A_i(X) Y_i over all windows
-    of every received block, then intersects, over the whole interpolation
-    nullspace, the affine systems a close message must satisfy. The final
-    candidate space is enumerated (capped) and distance-filtered.
+    When s*e <= (n-ell)//2, Gao's decoder runs on the unfolded word and its
+    answer is kept if it is within e blocks. This is exact: a message within
+    e blocks is within s*e symbols, and at that radius there is at most one.
+    Otherwise interpolates Q(X, Y_1..Y_v) = A_0(X) + sum A_i(X) Y_i over all
+    windows of every received block, then intersects, over the whole
+    interpolation nullspace, the affine systems a close message must
+    satisfy. The final candidate space is enumerated (capped) and
+    distance-filtered.
     """
     n = ctx.q - 1
     blocks = np.asarray(blocks, dtype=np.int64)
@@ -420,6 +427,11 @@ def list_decode_frs(ctx: FieldCtx, ell: int, s: int, blocks: np.ndarray, e: int,
     params = frs_achieved_radius(ctx.q, ell, s, v_cap)
     if e > params.e:
         raise RadiusTooLarge(f"e={e} exceeds the achieved folded radius {params.e}")
+    if s * e <= (n - ell) // 2:
+        f = rs_unique_decode(ctx, ell, blocks.reshape(-1))
+        if f is None or block_weight(evaluate_values(ctx, f) != blocks.reshape(-1), s) > e:
+            return []
+        return [f]
     v, d, windows = params.v, params.d, params.windows
 
     xs = ctx.units()

@@ -34,13 +34,37 @@ from .listdec import (
     list_decode_frs,
     list_decode_rs,
 )
-from .polycode import coset_index_groups, coset_stride, evaluate_values
+from .polycode import coset_stride, evaluate_values
 from .qtb import FqtbCode, QtbCode
 
 DEC_MULTIPLICITY_CAP = 2  # interpolation multiplicity budget inside the decoder
 
 
 # -- distance to the piecewise-linear space ----------------------------------------
+
+def _piecewise_fit(ctx: FieldCtx, blocks: np.ndarray, r: int) -> tuple[int, np.ndarray]:
+    """Folded distance of (n/s, s) blocks to the piecewise-linear space, with witness.
+
+    The r blocks of a coset group share one slope vector beta, and block b
+    agrees with beta * x exactly when its slopes value/position equal beta
+    (division by a unit is a bijection). So the best beta is the slope row
+    that the most blocks of the group share; ties go to the lexicographically
+    smallest row. The group contributes r minus that count.
+    """
+    n_blocks, s = blocks.shape
+    units = ctx.units().reshape(r, -1, s).transpose(1, 0, 2)  # (group, r, s)
+    slopes = ctx.div(blocks.reshape(r, -1, s).transpose(1, 0, 2), units)
+    agree = np.all(slopes[:, :, None, :] == slopes[:, None, :, :], axis=3)
+    counts = agree.sum(axis=2)
+    best = counts.max(axis=1)
+    pick = counts == best[:, None]
+    for k in range(s):  # keep the rows that are smallest in columns 0..k
+        col = np.where(pick, slopes[:, :, k], ctx.q)
+        pick &= col == col.min(axis=1, keepdims=True)
+    beta = slopes[np.arange(len(best)), pick.argmax(axis=1)]
+    witness = ctx.mul(beta[:, None, :], units).transpose(1, 0, 2).reshape(n_blocks, s)
+    return int(r * len(best) - best.sum()), witness
+
 
 def dist_to_piecewise(ctx: FieldCtx, values: np.ndarray, r: int) -> tuple[int, np.ndarray]:
     """Exact distance to the span of per-coset linear functions, with witness.
@@ -49,53 +73,14 @@ def dist_to_piecewise(ctx: FieldCtx, values: np.ndarray, r: int) -> tuple[int, n
     value/position; ties break toward the smaller beta for determinism.
     """
     values = np.asarray(values, dtype=np.int64)
-    units = ctx.units()
-    slopes = ctx.div(values, units)
-    witness = np.zeros_like(values)
-    dist = 0
-    for group in coset_index_groups(ctx.q, r):
-        counts: dict[int, int] = {}
-        for j in group.tolist():
-            counts[int(slopes[j])] = counts.get(int(slopes[j]), 0) + 1
-        beta = min(counts, key=lambda b: (-counts[b], b))
-        witness[group] = ctx.mul(beta, units[group])
-        dist += r - counts[beta]
-    return dist, witness
+    dist, witness = _piecewise_fit(ctx, values.reshape(-1, 1), r)
+    return dist, witness.reshape(-1)
 
 
 def dist_to_piecewise_folded(ctx: FieldCtx, blocks: np.ndarray, r: int,
                              ) -> tuple[int, np.ndarray]:
-    """Exact folded distance to the piecewise-linear space, with witness.
-
-    A candidate slope vector is read off from each of the r blocks of a
-    coset group in turn (a best approximation agreeing with at least one
-    block is determined by that block); the group contributes r minus the
-    best full-block agreement count.
-    """
-    blocks = np.asarray(blocks, dtype=np.int64)
-    n_blocks, s = blocks.shape
-    q = ctx.q
-    units = ctx.units().reshape(n_blocks, s)
-    slopes = ctx.div(blocks, units)
-    witness = np.zeros_like(blocks)
-    block_stride = coset_stride(q, r) // s
-    dist = 0
-    for g in range(block_stride):
-        group = [g + t * block_stride for t in range(r)]
-        best_count, best_beta = -1, None
-        for b in group:
-            beta = slopes[b]
-            count = sum(1 for b2 in group if np.array_equal(slopes[b2], beta)
-                        and np.array_equal(blocks[b2], ctx.mul(beta, units[b2])))
-            # the equality with the reconstruction matters when blocks[b2]
-            # has zeros: slope rows alone would miss value-vs-position zeros
-            if count > best_count or (count == best_count and
-                                      tuple(beta.tolist()) < tuple(best_beta.tolist())):
-                best_count, best_beta = count, beta
-        for b in group:
-            witness[b] = ctx.mul(best_beta, units[b])
-        dist += r - sum(1 for b in group if np.array_equal(blocks[b], witness[b]))
-    return dist, witness
+    """Exact folded distance to the piecewise-linear space, with witness."""
+    return _piecewise_fit(ctx, np.asarray(blocks, dtype=np.int64), r)
 
 
 # -- shared candidate machinery ------------------------------------------------------

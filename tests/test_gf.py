@@ -213,6 +213,47 @@ def test_rowspace_membership_and_reduce():
     assert coeff is not None
 
 
+def _reduce_oracle(ctx, space, v):
+    """Residue and coordinates by the sequential loop: subtract the pivot
+    entry's multiple of each RREF row in turn."""
+    v = np.array(v, dtype=np.int64, copy=True)
+    coeff = np.zeros(space.dim, dtype=np.int64)
+    for ri, pc in enumerate(space.pivots):
+        c = int(v[pc])
+        coeff[ri] = c
+        v = ctx.sub(v, ctx.mul(c, space.rref[ri]))
+    return v, coeff
+
+
+@pytest.mark.parametrize("p,m", [(13, 1), (127, 1), (5, 2), (2, 4)])
+def test_rowspace_reduce_matches_sequential_loop(p, m):
+    ctx = field_new(p, m)
+    rng = np.random.default_rng(p + m)
+    for rows, cols in [(0, 5), (1, 1), (3, 8), (6, 6), (9, 12)]:
+        basis = rng.integers(0, ctx.q, size=(rows, cols))
+        if rows > 1:
+            basis[-1] = ctx.add(basis[0], basis[1])  # a dependent row
+        space = RowSpace(ctx, basis)
+        members = matmul(ctx, rng.integers(0, ctx.q, size=(4, rows)), basis)
+        for v in list(members) + list(rng.integers(0, ctx.q, size=(4, cols))):
+            residue, coeff = _reduce_oracle(ctx, space, v)
+            assert np.array_equal(space.reduce(v), residue)
+            got = space.coordinates(v)
+            if np.any(residue):
+                assert got is None and not space.contains(v)
+            else:
+                assert np.array_equal(got, coeff) and space.contains(v)
+
+
+def test_units_built_once_and_read_only():
+    for ctx in (field_new(13), field_new(5, 2)):
+        units = ctx.units()
+        assert units is ctx.units() and not units.flags.writeable
+        with pytest.raises(ValueError):
+            units[0] = 0
+        assert units.tolist() == [ctx.pow(ctx.omega, i) for i in range(ctx.q - 1)]
+
+
 def test_trace_lands_in_prime_subfield():
     ctx = field_new(5, 2)
     for a in range(25):

@@ -1,8 +1,11 @@
 """List decoders against the exhaustive oracle."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
+from qlrc import listdec
 from qlrc.classical import frs_code, iter_codeword_chunks, rs_code
 from qlrc.ensembles import rs_decode_errors_erasures
 from qlrc.errors import CapExceeded, DecodingFailed, RadiusTooLarge
@@ -169,6 +172,61 @@ def test_frs_uncorrupted_and_planted():
 def test_frs_radius_too_large():
     with pytest.raises(RadiusTooLarge):
         list_decode_frs(F13, 2, 2, np.zeros((6, 2), dtype=np.int64), 4)
+
+
+# -- folded dispatch: Gao's decoder when s*e <= (n-ell)//2 ---------------------------
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("the other decoding path ran")
+
+
+def corrupt_blocks(ctx, blocks, support, rng):
+    """A copy of blocks with every block in support changed in some symbol."""
+    out = blocks.copy()
+    for b in support:
+        out[b] = rng.integers(0, ctx.q, size=out.shape[1])
+        out[b, 0] = ctx.add(blocks[b, 0], int(rng.integers(1, ctx.q)))
+    return out
+
+
+def test_frs_within_unique_radius_skips_interpolation(monkeypatch):
+    params = frs_achieved_radius(13, 3, 2)
+    assert (params.v, params.e) == (1, 2) and 2 * params.e <= (12 - 3) // 2
+    monkeypatch.setattr(listdec, "nullspace", _must_not_run)
+    rng = np.random.default_rng(20)
+    coeffs = rng.integers(0, 13, size=3)
+    blocks = corrupt_blocks(F13, evaluate_values(F13, coeffs).reshape(6, 2), (1, 4), rng)
+    got = list_decode_frs(F13, 3, 2, blocks, 2)
+    assert len(got) == 1 and np.array_equal(got[0], coeffs)
+
+
+def test_frs_beyond_unique_radius_interpolates(monkeypatch):
+    params = frs_achieved_radius(13, 2, 2)
+    assert (params.v, params.e) == (2, 3) and 2 * params.e > (12 - 2) // 2
+    monkeypatch.setattr(listdec, "rs_unique_decode", _must_not_run)
+    rng = np.random.default_rng(21)
+    coeffs = rng.integers(0, 13, size=2)
+    blocks = corrupt_blocks(F13, evaluate_values(F13, coeffs).reshape(6, 2), (0, 2, 5), rng)
+    got = list_decode_frs(F13, 2, 2, blocks, 3)
+    assert any(np.array_equal(g, coeffs) for g in got)
+
+
+def test_frs_unique_path_matches_oracle_exhaustively():
+    # GF(13), ell = 3, s = 2 takes the Gao path at every e <= 2: every block
+    # support of size <= 3 is corrupted on random codewords, then random words
+    fc = frs_code(F13, 3, 2)
+    rng = np.random.default_rng(22)
+    words = []
+    for size in range(4):
+        for support in combinations(range(6), size):
+            for _ in range(4):
+                cw = fc.code.random_codeword(rng).reshape(6, 2)
+                words.append(corrupt_blocks(F13, cw, support, rng))
+    words += [rng.integers(0, 13, size=(6, 2)) for _ in range(150)]
+    for w in words:
+        for e in range(3):
+            got = words_of(F13, list_decode_frs(F13, 3, 2, w, e))
+            assert got == oracle_words(fc, w, e), (w.tolist(), e)
 
 
 @pytest.mark.slow

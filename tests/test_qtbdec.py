@@ -1,5 +1,8 @@
 """The Tamo-Barg decoders and their quantum wrapper."""
 
+import hashlib
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -7,7 +10,7 @@ from qlrc import qtbdec
 from qlrc.classical import eval_code, iter_codeword_chunks
 from qlrc.css import PauliError, is_logical_identity, random_pauli
 from qlrc.errors import DecodeContractViolation, DecodingFailed
-from qlrc.gf import field_new, root_of_unity
+from qlrc.gf import field_from_order, field_new, root_of_unity
 from qlrc.polycode import (
     DensePoly,
     evaluate,
@@ -75,6 +78,52 @@ def test_dist_to_piecewise_folded_one_block_corruption():
     blocks[2, 0] = (blocks[2, 0] + 1) % 13
     d, _ = dist_to_piecewise_folded(F13, blocks, 3)
     assert d == 1
+
+
+def piecewise_oracle(ctx, blocks, r):
+    """Distance and witness by trying every slope vector in GF(q)^s on every
+    coset group; ties go to the first vector in lexicographic order."""
+    n_blocks, s = blocks.shape
+    units = ctx.units().reshape(n_blocks, s)
+    stride = n_blocks // r
+    betas = np.array(list(product(range(ctx.q), repeat=s)), dtype=np.int64)
+    dist, witness = 0, np.zeros_like(blocks)
+    for g in range(stride):
+        group = [g + t * stride for t in range(r)]
+        fits = ctx.mul(betas[:, None, :], units[group][None, :, :])  # (beta, block, s)
+        counts = np.all(fits == blocks[group][None, :, :], axis=2).sum(axis=1)
+        best = int(np.argmax(counts))
+        dist += r - int(counts[best])
+        witness[group] = fits[best]
+    return dist, witness
+
+
+@pytest.mark.parametrize("q,r,s", [(13, 3, 1), (13, 3, 2), (13, 2, 3), (16, 3, 1),
+                                   (16, 5, 1), (25, 3, 1), (25, 3, 2)])
+def test_piecewise_distance_matches_every_slope_oracle(q, r, s):
+    ctx = field_from_order(q)
+    n = q - 1
+    rng = np.random.default_rng(q * r * s)
+    units = ctx.units()
+    words = [np.zeros(n, dtype=np.int64)]
+    for _ in range(12):
+        words.append(rng.integers(0, q, size=n))
+        sparse = rng.integers(0, q, size=n)
+        sparse[rng.random(n) < 0.6] = 0  # zero values and zero slopes
+        words.append(sparse)
+        # a piecewise word with a few symbols changed, so counts near r and ties occur
+        slopes = rng.integers(0, q, size=(n // (r * s), s))
+        near = ctx.mul(np.broadcast_to(slopes, (r,) + slopes.shape).reshape(-1), units)
+        hit = rng.choice(n, size=int(rng.integers(1, n // 2)), replace=False)
+        near[hit] = rng.integers(0, q, size=hit.size)
+        words.append(near)
+    for w in words:
+        want = piecewise_oracle(ctx, w.reshape(-1, s), r)
+        d, wit = dist_to_piecewise_folded(ctx, w.reshape(-1, s), r)
+        assert d == want[0] and np.array_equal(wit, want[1])
+        if s == 1:
+            d, wit = dist_to_piecewise(ctx, w, r)
+            assert d == want[0] and np.array_equal(wit, want[1].reshape(-1))
 
 
 def test_shift_difference_kills_piecewise_part():
@@ -158,6 +207,33 @@ def test_dec_c_folded_exact_and_planted():
         out = dec_c_folded(code, blocks, e=e)
         resid = ctx.sub(out.word.reshape(-1), c)
         assert code.base.css.dual_x_space.contains(resid)
+
+
+# sha256 of dec_c_folded's outputs on the seeded words below, computed when
+# every folded list decode went through interpolation; a faster path must
+# reproduce it byte for byte
+FOLDED_DECODE_SHA256 = "0b4231b1cba8a8c6f922c296db5992d5dc575f6ebdebc32c0142943727a40e19"
+
+
+def test_dec_c_folded_seeded_outputs_are_pinned():
+    code = fqtb_new(127, 3, 64, 2)
+    lin = code.base.code
+    digest = hashlib.sha256()
+    for t in range(20):
+        rng = np.random.default_rng(500 + t)
+        blocks = lin.random_codeword(rng).reshape(63, 2)
+        bad = rng.choice(63, size=(0, 1, 2, 3, 4, 6, 8, 10, 12, 16)[t % 10], replace=False)
+        blocks[bad] = rng.integers(0, 127, size=(len(bad), 2))
+        try:
+            out = dec_c_folded(code, blocks)
+        except DecodingFailed:
+            digest.update(b"failed")
+            continue
+        for a in (out.word, out.coeffs):
+            digest.update(np.ascontiguousarray(a, dtype=np.int64).tobytes())
+        digest.update(repr((out.dual_distance, out.candidates, out.list_sizes,
+                            out.rs_radius)).encode())
+    assert digest.hexdigest() == FOLDED_DECODE_SHA256
 
 
 def test_quantum_decode_zero_error():
