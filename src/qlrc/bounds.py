@@ -18,9 +18,12 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
+
+import numpy as np
 
 from .errors import CapExceeded, DomainError, HypothesisViolated, ViolationFound
-from .gf import FieldCtx, _is_prime, field_from_order, root_of_unity
+from .gf import _is_prime, field_from_order, rank
 
 UNCERTAINTY_LOCALITY_CAP = 13  # minor count C(2r, r) explodes beyond this
 
@@ -260,37 +263,14 @@ def gv_probability_bound(n: int, ell: int, q: int, delta: float) -> float:
 
 # -- uncertainty principle ------------------------------------------------------------
 
-def _det(ctx: FieldCtx, mat: list[list[int]]) -> int:
-    m = [row[:] for row in mat]
-    k = len(m)
-    det = 1
-    for c in range(k):
-        piv = None
-        for rr in range(c, k):
-            if m[rr][c] != 0:
-                piv = rr
-                break
-        if piv is None:
-            return 0
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            det = ctx.neg(det)
-        det = ctx.mul(det, m[c][c])
-        inv = ctx.inv(m[c][c])
-        for rr in range(c + 1, k):
-            f = ctx.mul(m[rr][c], inv)
-            if f:
-                for cc in range(c, k):
-                    m[rr][cc] = ctx.sub(m[rr][cc], ctx.mul(f, m[c][cc]))
-    return det
-
-
+@lru_cache(maxsize=None)
 def uncertainty_holds(q: int, r: int) -> bool:
     """Whether every minor of the r x r root-of-unity Vandermonde is nonzero.
 
     This is the per-instance certificate behind the folded distance bound;
     the bad characteristic set is finite but not listed anywhere, so each
-    (q, r) is checked directly. Capped at r <= 13 (C(2r, r) minors).
+    (q, r) is checked directly: a k x k minor vanishes exactly when its rank
+    is below k. Capped at r <= 13 (C(2r, r) minors); cached per (q, r).
     """
     if not _is_prime(r):
         raise HypothesisViolated(f"r={r} must be prime")
@@ -300,12 +280,11 @@ def uncertainty_holds(q: int, r: int) -> bool:
         raise CapExceeded(f"r={r} exceeds the minor-enumeration cap {UNCERTAINTY_LOCALITY_CAP}",
                           required=math.comb(2 * r, r))
     ctx = field_from_order(q)
-    w = root_of_unity(ctx, r)
-    v = [[ctx.pow(w, i * j) for j in range(r)] for i in range(r)]
+    v = ctx.units()[np.outer(np.arange(r), np.arange(r)) * ((q - 1) // r) % (q - 1)]  # w^(ij)
     for k in range(1, r + 1):
         for rows in itertools.combinations(range(r), k):
             for cols in itertools.combinations(range(r), k):
-                if _det(ctx, [[v[i][j] for j in cols] for i in rows]) == 0:
+                if rank(ctx, v[np.ix_(rows, cols)]) < k:
                     return False
     return True
 

@@ -155,119 +155,89 @@ def cmd_distance(args) -> int:
 # -- simulate -----------------------------------------------------------------------
 
 def _simulate_code(built, args):
+    """Run the trials; ``sample`` draws from the trial's stream and only
+    ``decode`` is timed."""
     fam, obj = built.family, built.obj
     model = args.model
-    trials = args.trials
-    per_trial = []
-    successes = 0
-    t_total = 0.0
-
-    if fam in ("qtb", "fqtb"):
-        code = obj
-        css = code.css if fam == "qtb" else code.base.css
+    if fam in ("qtb", "fqtb", "random_qlrc"):
+        css = obj.base.css if fam == "fqtb" else obj.css
         n = css.n
-        radius = quantum_decode_radius(code)
-        weight = args.weight if args.weight is not None else radius
-        if model in ("mixed", "x-only", "z-only"):
+        if model == "local":
+            weight = 1
+
+            def sample(rng):
+                i = int(rng.integers(n))
+                return i, _single_qudit(css.ctx, n, i, rng)
+
+            def decode(trial):
+                i, err = trial
+                corr = recover_pauli(css, css.recovery[i], err)
+                return residual_after_correction(css.ctx, err, corr).weight == 0
+        elif model == "erasure":
+            weight = args.weight if args.weight is not None else 1
+
+            def sample(rng):
+                return rng.choice(n, size=weight, replace=False).tolist()
+
+            def decode(pos):
+                return can_decode_erasures(css, pos)
+        elif fam == "random_qlrc":
+            raise ValidationError("random qLRCs have no global decoder; models: local, erasure")
+        else:
+            radius = quantum_decode_radius(obj)
+            weight = args.weight if args.weight is not None else radius
             if weight > radius and not args.allow_overload:
                 raise ValidationError(
                     f"weight {weight} exceeds decode radius {radius}; pass --allow-overload")
-            for t in range(trials):
-                rng = stream_rng(args.seed, t)
+
+            def sample(rng):
                 if fam == "fqtb":
-                    err = _block_error(css.ctx, n, code.s, weight, model, rng)
-                else:
-                    err = random_pauli(css.ctx, n, weight, model, rng)
-                t0 = time.perf_counter()
+                    return _block_error(css.ctx, n, obj.s, weight, model, rng)
+                return random_pauli(css.ctx, n, weight, model, rng)
+
+            def decode(err):
                 try:
-                    _, resid = quantum_decode(code, err, check_weight=not args.allow_overload)
-                    good = is_logical_identity(css, resid)
+                    _, resid = quantum_decode(obj, err, check_weight=not args.allow_overload)
+                    return is_logical_identity(css, resid)
                 except QlrcError:
                     if not args.allow_overload:
                         raise
-                    good = False
-                t_total += time.perf_counter() - t0
-                successes += good
-                per_trial.append((t, weight, int(good)))
-        elif model == "local":
-            recs = css.recovery
-            for t in range(trials):
-                rng = stream_rng(args.seed, t)
-                i = int(rng.integers(n))
-                err = _single_qudit(css.ctx, n, i, rng)
-                t0 = time.perf_counter()
-                corr = recover_pauli(css, recs[i], err)
-                resid = residual_after_correction(css.ctx, err, corr)
-                good = resid.weight == 0
-                t_total += time.perf_counter() - t0
-                successes += good
-                per_trial.append((t, 1, int(good)))
-        elif model == "erasure":
-            weight = args.weight if args.weight is not None else 1
-            for t in range(trials):
-                rng = stream_rng(args.seed, t)
-                pos = rng.choice(n, size=weight, replace=False).tolist()
-                t0 = time.perf_counter()
-                good = can_decode_erasures(css, pos)
-                t_total += time.perf_counter() - t0
-                successes += good
-                per_trial.append((t, weight, int(good)))
-        else:
-            raise ValidationError(f"unknown error model {model!r}")
-        meta = {"family": fam, "q": code.q, "r": code.r, "ell": code.ell,
-                "s": code.s if fam == "fqtb" else 1, "e": weight}
-    elif fam == "random_qlrc":
-        css = obj.css
-        n = css.n
-        if model == "local":
-            for t in range(trials):
-                rng = stream_rng(args.seed, t)
-                i = int(rng.integers(n))
-                err = _single_qudit(css.ctx, n, i, rng)
-                corr = recover_pauli(css, css.recovery[i], err)
-                resid = residual_after_correction(css.ctx, err, corr)
-                good = resid.weight == 0
-                successes += good
-                per_trial.append((t, 1, int(good)))
-        elif model == "erasure":
-            weight = args.weight if args.weight is not None else 1
-            for t in range(trials):
-                rng = stream_rng(args.seed, t)
-                pos = rng.choice(n, size=weight, replace=False).tolist()
-                good = can_decode_erasures(css, pos)
-                successes += good
-                per_trial.append((t, weight, int(good)))
-        else:
-            raise ValidationError(
-                "random qLRCs have no global decoder; models: local, erasure")
+                    return False
         meta = {"family": fam, "q": css.ctx.q, "r": obj.r, "ell": obj.ell,
-                "s": 1, "e": args.weight or 1}
+                "s": obj.s if fam == "fqtb" else 1, "e": weight}
     elif fam == "ael":
-        std = obj
-        code = std.code
-        weight = args.weight if args.weight is not None else std.radius_blocks
-        if weight > std.radius_blocks and not args.allow_overload:
+        code = obj.code
+        weight = args.weight if args.weight is not None else obj.radius_blocks
+        if weight > obj.radius_blocks and not args.allow_overload:
             raise ValidationError(
-                f"weight {weight} blocks exceeds radius {std.radius_blocks}; pass --allow-overload")
-        for t in range(trials):
-            rng = stream_rng(args.seed, t)
-            err = random_block_pauli(code.ctx, code.block_count, code.delta, weight, rng)
-            t0 = time.perf_counter()
+                f"weight {weight} blocks exceeds radius {obj.radius_blocks}; pass --allow-overload")
+
+        def sample(rng):
+            return random_block_pauli(code.ctx, code.block_count, code.delta, weight, rng)
+
+        def decode(err):
             try:
-                _, resid = ael_quantum_decode(std, err)
-                good = is_logical_identity(code.css, resid)
+                _, resid = ael_quantum_decode(obj, err)
+                return is_logical_identity(code.css, resid)
             except QlrcError:
-                if weight <= std.radius_blocks:
+                if weight <= obj.radius_blocks:
                     raise DecodeContractViolation("AEL decode failed within radius")
-                good = False
-            t_total += time.perf_counter() - t0
-            successes += good
-            per_trial.append((t, weight, int(good)))
+                return False
         meta = {"family": fam, "q": code.ctx.q, "r": code.locality,
                 "ell": code.outer.cz.dim, "s": code.delta, "e": weight}
     else:
         raise ValidationError(f"simulate not defined for family {fam!r}")
-    mean_ms = 1000.0 * t_total / max(trials, 1)
+    per_trial = []
+    successes = 0
+    t_total = 0.0
+    for t in range(args.trials):
+        trial = sample(stream_rng(args.seed, t))
+        t0 = time.perf_counter()
+        good = decode(trial)
+        t_total += time.perf_counter() - t0
+        successes += good
+        per_trial.append((t, weight, int(good)))
+    mean_ms = 1000.0 * t_total / max(args.trials, 1)
     return meta, per_trial, successes, mean_ms
 
 

@@ -25,6 +25,10 @@ the field with numpy's 1-D/2-D shape rules, reduced once per product. A
 prime field accumulates in float64 while every partial sum k(p-1)^2 stays
 below 2**53 (exact, and BLAS-backed); beyond that, and for every extension
 field, the products are summed per base-p digit over bounded row blocks.
+
+``rref`` is the one elimination. ``rank``, ``nullspace``, ``solve_right``,
+``Solver`` and ``RowSpace`` read their answers off its pivots with fancy
+indexing and ``matmul``; none of them loops over field elements.
 """
 
 from __future__ import annotations
@@ -267,19 +271,6 @@ class FieldCtx:
             object.__setattr__(self, "_units", out)
         return self._units
 
-    def log(self, a: int) -> int:
-        """Discrete log base omega."""
-        if a == 0:
-            raise ZeroElement("log of zero")
-        if self.m > 1:
-            return int(self._log[a])
-        cur, omega = 1, self.omega
-        for i in range(self.q - 1):
-            if cur == a:
-                return i
-            cur = (cur * omega) % self.p
-        raise AssertionError("element outside multiplicative group")
-
     def descriptor(self) -> dict:
         return {"p": self.p, "m": self.m, "modulus": list(self.modulus), "omega": self.omega}
 
@@ -482,10 +473,8 @@ def nullspace(ctx: FieldCtx, mat: np.ndarray) -> np.ndarray:
     r, pivots = rref(ctx, mat)
     free = [c for c in range(cols) if c not in pivots]
     basis = np.zeros((len(free), cols), dtype=np.int64)
-    for bi, f in enumerate(free):
-        basis[bi, f] = 1
-        for ri, pc in enumerate(pivots):
-            basis[bi, pc] = ctx.neg(int(r[ri, f]))
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = ctx.neg(r[: len(pivots), free].T)
     return basis
 
 
@@ -499,8 +488,7 @@ def solve_right(ctx: FieldCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray | Non
     if cols in pivots:
         return None
     x = np.zeros(cols, dtype=np.int64)
-    for ri, pc in enumerate(pivots):
-        x[pc] = r[ri, cols]
+    x[pivots] = r[: len(pivots), cols]
     return x
 
 
@@ -517,17 +505,14 @@ class Solver:
         self.n = n
         self.pivots = pivots
         self.transform = r[:, n:]  # T with T @ A in reduced form
-        self.reduced = r[:, :n]
 
     def solve(self, b: np.ndarray) -> np.ndarray | None:
-        ctx = self.ctx
-        tb = matmul(ctx, self.transform, b)
+        tb = matmul(self.ctx, self.transform, b)
+        k = len(self.pivots)
+        if np.any(tb[k:]):
+            return None
         x = np.zeros(self.n, dtype=np.int64)
-        for i, p in enumerate(self.pivots):
-            x[p] = tb[i]
-        for i in range(len(self.pivots), len(tb)):
-            if tb[i] != 0:
-                return None
+        x[self.pivots] = tb[:k]
         return x
 
 

@@ -20,6 +20,12 @@ it is returned, so the output is exact, never a superset):
   a radius) the folded list is Gao's answer on the unfolded word, kept if
   it is within e blocks: a message within e blocks is within s*e symbols,
   where there is at most one.
+
+The bivariate steps are field linear algebra: the root search evaluates a
+univariate polynomial at every unit with ``evaluate_values``, the Y-shift of
+Roth-Ruckenstein is one ``gf.matmul`` against a binomial-power matrix, and
+the folded decoder builds its interpolation matrix with a ``powers`` gather
+and its system on f with one ``gf.matmul`` against ``powers``.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ import numpy as np
 from .classical import FoldedCode, LinearCode, block_weight, iter_codeword_chunks
 from .errors import CapExceeded, RadiusTooLarge, ValidationError
 from .gf import FieldCtx, matmul, nullspace, solve_right
-from .polycode import evaluate_values, powers
+from .polycode import element_powers, evaluate_values, powers
 
 GS_MULTIPLICITY_CAP = 8
 FRS_SHIFT_CAP = 3  # interpolation variables; solution space has dim < v
@@ -318,28 +324,24 @@ def _bivar_strip_x(q: np.ndarray) -> np.ndarray:
 
 
 def _univar_roots(ctx: FieldCtx, coeffs: np.ndarray) -> list[int]:
-    elems = np.arange(ctx.q, dtype=np.int64)
-    acc = np.zeros(ctx.q, dtype=np.int64)
-    for c in coeffs[::-1].tolist():
-        acc = ctx.add(ctx.mul(acc, elems), int(c))
-    return np.nonzero(acc == 0)[0].tolist()
+    """Sorted roots in GF(q): the units where the evaluation vanishes, and 0
+    when the constant term does."""
+    roots = ctx.units()[evaluate_values(ctx, coeffs) == 0].tolist()
+    return sorted(roots + [0] if coeffs[0] == 0 else roots)
 
 
 def _shift_y(ctx: FieldCtx, q: np.ndarray, gamma: int) -> np.ndarray:
-    """Q(X, gamma + X*Y), which raises X-degree by up to the Y-degree."""
+    """Q(X, gamma + X*Y), which raises X-degree by up to the Y-degree.
+
+    Y^j = sum_t C(j,t) gamma^(j-t) X^t Y^t, so with M[j, t] = C(j,t) gamma^(j-t)
+    column t of q @ M is the coefficient of Y^t, shifted down t powers of X.
+    """
     dx, dy = q.shape[0] - 1, q.shape[1] - 1
+    j, t = np.arange(dy + 1)[:, None], np.arange(dy + 1)[None, :]
+    binom = np.array([[_binom_field(ctx, a, b) for b in range(dy + 1)] for a in range(dy + 1)])
+    m = ctx.mul(binom, element_powers(ctx, gamma, dy + 1)[(j - t) % (dy + 1)])  # 0 for t > j
     out = np.zeros((dx + dy + 1, dy + 1), dtype=np.int64)
-    gpow = [1]
-    for _ in range(dy):
-        gpow.append(ctx.mul(gpow[-1], gamma))
-    for j in range(dy + 1):
-        colv = q[:, j]
-        if not np.any(colv):
-            continue
-        for t in range(j + 1):
-            c = ctx.mul(_binom_field(ctx, j, t), gpow[j - t])
-            if c:
-                out[t: t + dx + 1, t] = ctx.add(out[t: t + dx + 1, t], ctx.mul(c, colv))
+    out[np.arange(dx + 1)[:, None] + t, t] = matmul(ctx, q, m)
     return out
 
 
@@ -434,55 +436,26 @@ def list_decode_frs(ctx: FieldCtx, ell: int, s: int, blocks: np.ndarray, e: int,
         return [f]
     v, d, windows = params.v, params.d, params.windows
 
-    xs = ctx.units()
-    a0_cols = d + ell
-    ai_cols = d + 1
-    ncols = a0_cols + v * ai_cols
-    rows = np.zeros((n_blocks * windows, ncols), dtype=np.int64)
-    r = 0
-    for b in range(n_blocks):
-        for j in range(windows):
-            x = int(xs[b * s + j])
-            xp = [1]
-            for _ in range(a0_cols - 1):
-                xp.append(ctx.mul(xp[-1], x))
-            rows[r, :a0_cols] = xp
-            for i in range(v):
-                y = int(blocks[b, j + i])
-                rows[r, a0_cols + i * ai_cols: a0_cols + (i + 1) * ai_cols] = \
-                    ctx.mul(y, np.asarray(xp[:ai_cols], dtype=np.int64))
-            r += 1
+    # one row per window (block b, offset j) at x = omega^(b*s + j):
+    # x^0..x^(a0_cols-1), then y_i * x^0..x^(ai_cols-1) with y_i = blocks[b, j + i]
+    a0_cols, ai_cols = d + ell, d + 1
+    xp = powers(ctx, np.arange(a0_cols))[:, (np.arange(n_blocks)[:, None] * s
+                                             + np.arange(windows)).reshape(-1)].T
+    ys = blocks[:, np.arange(windows)[:, None] + np.arange(v)].reshape(-1, v, 1)
+    rows = np.hstack([xp, ctx.mul(ys, xp[:, None, :ai_cols]).reshape(len(xp), -1)])
     ker = nullspace(ctx, rows)
     if ker.shape[0] == 0:
         return []
 
-    # stack, over every interpolation solution, the linear system on f
-    gamma = ctx.omega
-    gpow_cache = {}
-
-    def gpow(i: int, c: int) -> int:
-        key = (i, c)
-        if key not in gpow_cache:
-            gpow_cache[key] = ctx.pow(gamma, i * c)
-        return gpow_cache[key]
-
-    mats = []
-    rhss = []
-    for sol in ker:
-        a0 = sol[:a0_cols]
-        ais = [sol[a0_cols + i * ai_cols: a0_cols + (i + 1) * ai_cols] for i in range(v)]
-        m = np.zeros((a0_cols, ell), dtype=np.int64)
-        for c in range(ell):
-            for i in range(v):
-                scale = gpow(i, c)
-                ai = ais[i]
-                for dd in range(ai_cols):
-                    if ai[dd]:
-                        m[dd + c, c] = ctx.add(int(m[dd + c, c]), ctx.mul(int(ai[dd]), scale))
-        mats.append(m)
-        rhss.append(ctx.neg(a0))
-    big = np.vstack(mats)
-    rhs = np.concatenate(rhss)
+    # stack, over every interpolation solution, the linear system on f: column c
+    # of a solution's block is sum_i A_i * omega^(ic), shifted down c places
+    scaled = matmul(ctx, ker[:, a0_cols:].reshape(-1, v, ai_cols).transpose(0, 2, 1)
+                    .reshape(-1, v), powers(ctx, np.arange(v))[:, :ell])
+    c = np.arange(ell)[None, :]
+    big = np.zeros((len(ker), a0_cols, ell), dtype=np.int64)
+    big[:, np.arange(ai_cols)[:, None] + c, c] = scaled.reshape(len(ker), ai_cols, ell)
+    big = big.reshape(-1, ell)
+    rhs = ctx.neg(ker[:, :a0_cols]).reshape(-1)
 
     part = solve_right(ctx, big, rhs)
     if part is None:

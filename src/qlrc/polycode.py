@@ -16,6 +16,9 @@ Evaluation is linear algebra: ``powers(ctx, exps)`` gathers the matrix whose
 row a holds x^exps[a] at every position (``units[(exps[a] * j) mod (q-1)]``),
 so an evaluation code's basis is one gather and ``evaluate_values`` is one
 ``gf.matmul`` of the coefficients (a vector, or a batch of rows) with it.
+``element_powers`` gathers the powers of a single element the same way, so
+evaluating a ``DensePoly`` at a point and ``mod_reduce`` (the sum of the
+length-r chunks weighted by c^j) are one product each.
 """
 
 from __future__ import annotations
@@ -101,11 +104,7 @@ class DensePoly:
         return len(self.coeffs) == 0
 
     def __call__(self, x: int) -> int:
-        ctx = self.ctx
-        acc = 0
-        for c in self.coeffs[::-1].tolist():
-            acc = ctx.add(ctx.mul(acc, x), c)
-        return acc
+        return int(matmul(self.ctx, self.coeffs, element_powers(self.ctx, x, len(self.coeffs))))
 
     def key(self) -> tuple[int, ...]:
         """Canonical tie-break key: the coefficient tuple."""
@@ -159,6 +158,14 @@ def powers(ctx: FieldCtx, exps: Sequence[int] | np.ndarray) -> np.ndarray:
     return ctx.units()[exps[:, None] * np.arange(n) % n]
 
 
+def element_powers(ctx: FieldCtx, x: int, k: int) -> np.ndarray:
+    """x^0, ..., x^(k-1) for one element x (0^0 = 1), gathered from ``units``."""
+    if x == 0:
+        return (np.arange(k) == 0).astype(np.int64)
+    j = int(np.flatnonzero(ctx.units() == x)[0])  # x = omega^j
+    return ctx.units()[np.arange(k) * j % (ctx.q - 1)]
+
+
 def evaluate(f: DensePoly) -> EvalWord:
     """Evaluate on all of GF(q)* in position order."""
     if f.degree >= f.ctx.q - 1:
@@ -188,13 +195,9 @@ def mod_reduce(f: DensePoly, r: int, c: int) -> DensePoly:
     if c == 0:
         raise ZeroShift("reduction modulus X^r - c needs c != 0")
     ctx = f.ctx
-    out = np.zeros(r, dtype=np.int64)
-    cj = 1
-    for j in range(0, f.degree // r + 1 if not f.is_zero() else 0):
-        chunk = f.coeffs[j * r: (j + 1) * r]
-        out[: len(chunk)] = ctx.add(out[: len(chunk)], ctx.mul(int(cj), chunk))
-        cj = ctx.mul(cj, c)
-    return DensePoly(ctx, out)
+    chunks = np.zeros((-(-len(f.coeffs) // r), r), dtype=np.int64)  # row j: X^(jr) .. X^(jr+r-1)
+    chunks.flat[: len(f.coeffs)] = f.coeffs
+    return DensePoly(ctx, matmul(ctx, element_powers(ctx, c, len(chunks)), chunks))
 
 
 # -- positional structure -------------------------------------------------------

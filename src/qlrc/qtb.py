@@ -32,7 +32,7 @@ from .errors import (
     FoldNotDividing,
     SiblingErased,
 )
-from .gf import FieldCtx, _is_prime, field_from_order
+from .gf import FieldCtx, _is_prime, field_from_order, matmul
 from .polycode import (
     coset_index_groups,
     coset_stride,
@@ -96,10 +96,6 @@ class QtbCode:
     def code(self) -> LinearCode:
         """The single classical component (C_X = C_Z)."""
         return self.css.cx
-
-    @cached_property
-    def coset_groups(self) -> np.ndarray:
-        return coset_index_groups(self.q, self.r)
 
     def descriptor(self) -> dict:
         d = self.ctx.descriptor()
@@ -195,15 +191,8 @@ def fqtb_new(q: int, r: int, ell: int, s: int,
 
 def is_piecewise_linear(ctx: FieldCtx, values: np.ndarray, r: int) -> bool:
     """Whether the word is beta*x on every coset x*Omega_r (some beta per coset)."""
-    values = np.asarray(values, dtype=np.int64)
-    units = ctx.units()
-    for group in coset_index_groups(ctx.q, r):
-        idx = group.tolist()
-        beta = ctx.div(int(values[idx[0]]), int(units[idx[0]]))
-        for j in idx[1:]:
-            if values[j] != ctx.mul(beta, int(units[j])):
-                return False
-    return True
+    slopes = ctx.div(np.asarray(values, dtype=np.int64), ctx.units()).reshape(r, -1)
+    return bool(np.all(slopes == slopes[0]))  # column g: the slopes on coset g
 
 
 def fqtb_recover_block(code: FqtbCode, blocks: np.ndarray, block: int,
@@ -222,13 +211,9 @@ def fqtb_recover_block(code: FqtbCode, blocks: np.ndarray, block: int,
     if bad:
         raise SiblingErased(f"sibling blocks {sorted(bad)} of block {block} are erased")
     units = ctx.units()
-    stride = coset_stride(code.q, code.r)
-    out = np.zeros(s, dtype=np.int64)
-    for j in range(s):
-        pos = block * s + j
-        acc = 0
-        for t in range(1, code.r):
-            other = (pos + t * stride) % (code.q - 1)
-            acc = ctx.add(acc, ctx.mul(int(units[other]), int(blocks[other // s, other % s])))
-        out[j] = ctx.neg(ctx.div(acc, int(units[pos])))
-    return out
+    pos = block * s + np.arange(s)
+    # the coset check sums x * value to zero; row j lists the other positions of pos[j]'s coset
+    others = (pos[:, None] + coset_stride(code.q, code.r) * np.arange(1, code.r)) % (code.q - 1)
+    acc = matmul(ctx, ctx.mul(units[others], blocks.reshape(-1)[others]),
+                 np.ones(code.r - 1, dtype=np.int64))
+    return ctx.neg(ctx.div(acc, units[pos]))

@@ -99,14 +99,12 @@ def _map_back(ctx: FieldCtx, coeffs: np.ndarray, r: int, i: int) -> np.ndarray |
     Valid candidates vanish on exponents +-1 mod r; the remaining exponents
     divide by w_r^((j-1)i) - 1, which is nonzero whenever r is prime.
     """
-    wr = root_of_unity(ctx, r)
+    j = np.flatnonzero(coeffs)
+    if np.any((j % r == 1) | (j % r == r - 1)):
+        return None
+    wr_pow = ctx.units()[(j - 1) * i % r * coset_stride(ctx.q, r)]  # w_r^((j-1)i)
     out = np.zeros_like(coeffs)
-    for j in np.nonzero(coeffs)[0].tolist():
-        if j % r in (1, r - 1):
-            return None
-        factor = ctx.sub(ctx.pow(wr, ((j - 1) * i) % r), 1)
-        assert factor != 0  # r prime and j != 1 mod r
-        out[j] = ctx.div(int(coeffs[j]), factor)
+    out[j] = ctx.div(coeffs[j], ctx.sub(wr_pow, 1))
     return out
 
 
@@ -206,14 +204,10 @@ def dec_c_folded(code: FqtbCode, blocks: np.ndarray, e: int | None = None) -> De
     q, r, ell, s = code.q, code.r, code.ell, code.s
     blocks = np.asarray(blocks, dtype=np.int64)
     params = frs_achieved_radius(q, ell, s)
-    block_stride = coset_stride(q, r) // s
-    wr = root_of_unity(ctx, r)
     candidates: dict[tuple, np.ndarray] = {}
     list_sizes = []
     for i in range(1, r):
-        wr_inv = ctx.pow(wr, -i)
-        rolled = np.roll(blocks, -i * block_stride, axis=0)
-        diff = ctx.sub(ctx.mul(wr_inv, rolled), blocks)
+        diff = _shift_difference(ctx, blocks.reshape(-1), r, i).reshape(-1, s)
         polys = list_decode_frs(ctx, ell, s, diff, params.e)
         list_sizes.append(len(polys))
         for g in polys:

@@ -125,6 +125,7 @@ def test_uncertainty_examples():
     assert uncertainty_holds(7, 3)
     assert uncertainty_holds(7, 2)  # entries +-1; 2x2 determinant is -2
     assert uncertainty_holds(127, 3)
+    assert not uncertainty_holds(64, 7)  # some minor of the 7 x 7 Vandermonde vanishes
     with pytest.raises(HypothesisViolated):
         uncertainty_holds(13, 4)
     with pytest.raises(CapExceeded):

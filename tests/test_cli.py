@@ -82,6 +82,22 @@ def test_simulate_deterministic_output(capsys):
     assert all(line.endswith(",1") for line in out1.strip().splitlines()[1:])
 
 
+@pytest.mark.parametrize("flags", [
+    ("--family", "qtb", "--q", "13", "--r", "3", "--ell", "8"),
+    ("--family", "fqtb", "--q", "13", "--r", "3", "--ell", "8", "--s", "2"),
+    ("--family", "random_qlrc", "--q", "5", "--n", "12", "--r", "3", "--ell", "2", "--seed", "3"),
+])
+@pytest.mark.parametrize("model,e", [("local", 1), ("erasure", 2)])
+def test_simulate_recovery_models_are_timed_and_report_trial_weight(capsys, flags, model, e):
+    # a local trial corrupts one qudit whatever --weight says; an erasure trial erases --weight
+    code, out, err = run(capsys, "simulate", *flags, "--model", model, "--weight", "2",
+                         "--trials", "5")
+    assert code == 0, err
+    d = json.loads(out)
+    assert d["e"] == e
+    assert float(d["mean_ms"]) > 0
+
+
 def test_simulate_overload_requires_flag(capsys):
     code, _, err = run(capsys, "simulate", "--family", "qtb", "--q", "13",
                        "--r", "3", "--ell", "8", "--model", "mixed",

@@ -188,19 +188,28 @@ def test_linear_algebra_roundtrips(p, m):
             for j in range(7):
                 out = ctx.add(out, ctx.mul(int(row[j]), a[:, j]))
             assert not np.any(out)
-        x = rng.integers(0, ctx.q, size=7)
-        b = np.zeros(4, dtype=np.int64)
-        for j in range(7):
-            b = ctx.add(b, ctx.mul(int(x[j]), a[:, j]))
+        b = _column_combination(ctx, a, rng.integers(0, ctx.q, size=7))
         sol = solve_right(ctx, a, b)
         assert sol is not None
-        chk = np.zeros(4, dtype=np.int64)
-        for j in range(7):
-            chk = ctx.add(chk, ctx.mul(int(sol[j]), a[:, j]))
-        assert np.array_equal(chk, b)
+        assert np.array_equal(_column_combination(ctx, a, sol), b)
         fast = Solver(ctx, a).solve(b)
-        assert fast is not None and np.array_equal(
-            np.asarray(chk), np.asarray(b))
+        assert fast is not None
+        assert np.array_equal(_column_combination(ctx, a, fast), b)
+        # row 3 = row 0 + row 1, and b breaks that relation: no solution
+        dep = a.copy()
+        dep[3] = ctx.add(dep[0], dep[1])
+        bad = _column_combination(ctx, dep, rng.integers(0, ctx.q, size=7))
+        bad[3] = ctx.add(int(bad[3]), 1)
+        assert solve_right(ctx, dep, bad) is None
+        assert Solver(ctx, dep).solve(bad) is None
+
+
+def _column_combination(ctx, a, x):
+    """a @ x by the scalar loop over columns (the oracle for the solvers)."""
+    out = np.zeros(a.shape[0], dtype=np.int64)
+    for j in range(a.shape[1]):
+        out = ctx.add(out, ctx.mul(int(x[j]), a[:, j]))
+    return out
 
 
 def test_rowspace_membership_and_reduce():

@@ -1,5 +1,6 @@
 """List decoders against the exhaustive oracle."""
 
+import hashlib
 from itertools import combinations
 
 import numpy as np
@@ -9,7 +10,7 @@ from qlrc import listdec
 from qlrc.classical import frs_code, iter_codeword_chunks, rs_code
 from qlrc.ensembles import rs_decode_errors_erasures
 from qlrc.errors import CapExceeded, DecodingFailed, RadiusTooLarge
-from qlrc.gf import field_new
+from qlrc.gf import field_from_order, field_new
 from qlrc.listdec import (
     _scalar_ops,
     best_feasible_radius_rs,
@@ -327,3 +328,45 @@ def test_extension_scalar_ops_match_field_exhaustively(p, m):
         assert acc == ctx.sub(elems, ctx.mul(a, elems)).tolist()
         if a:
             assert ops.inv(a) == ctx.inv(a)
+
+
+# sha256 of seeded list decodes, computed before the root search, the Y-shift
+# and the folded interpolation were vectorised; they must reproduce it byte for
+# byte. The GS part runs past the unique radius on a prime and two extension
+# fields; the folded part names (q, ell, s, e) and includes the v >= 2 sets,
+# where list_decode_frs interpolates instead of calling Gao's decoder.
+LIST_DECODE_SHA256 = "02bc83dc73f25fb4c16af2c094dc46fda564cb1333d6b45029f42d7131fa7e0c"
+FOLDED_SETS = ((13, 2, 2, 3), (16, 3, 3, 2), (25, 4, 2, 5),
+               (16, 4, 3, 2), (25, 4, 4, 3), (25, 2, 3, 5))
+
+
+def test_seeded_list_decodes_are_pinned():
+    digest = hashlib.sha256()
+    rng = np.random.default_rng(2024)
+    for q, ell in ((13, 2), (13, 3), (16, 3), (25, 5)):
+        ctx = field_from_order(q)
+        n = q - 1
+        for e in range((n - ell) // 2 + 1, best_feasible_radius_rs(q, ell, 4) + 1):
+            for t in range(4):
+                word = evaluate_values(ctx, rng.integers(0, q, size=ell))
+                bad = rng.choice(n, size=e if t < 3 else n // 2, replace=False)
+                word[bad] = rng.integers(0, q, size=len(bad))
+                for f in list_decode_rs(ctx, ell, word, e, m_cap=4):
+                    digest.update(f.tobytes())
+                digest.update(b"|")
+    interpolated = 0
+    for q, ell, s, e in FOLDED_SETS:
+        ctx = field_from_order(q)
+        n = q - 1
+        params = frs_achieved_radius(q, ell, s)
+        assert e == params.e
+        interpolated += s * e > (n - ell) // 2 and params.v >= 2
+        for t in range(6):
+            blocks = evaluate_values(ctx, rng.integers(0, q, size=ell)).reshape(-1, s)
+            bad = rng.choice(n // s, size=e if t < 4 else e + 2, replace=False)
+            blocks[bad] = rng.integers(0, q, size=(len(bad), s))
+            for f in list_decode_frs(ctx, ell, s, blocks, e):
+                digest.update(f.tobytes())
+            digest.update(b"|")
+    assert interpolated == 4
+    assert digest.hexdigest() == LIST_DECODE_SHA256

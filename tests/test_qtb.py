@@ -131,6 +131,12 @@ def test_is_piecewise_matches_membership():
     for _ in range(50):
         w = rng.integers(0, 13, size=12)
         assert is_piecewise_linear(F13, w, 3) == code.bperp.contains(w)
+    piecewise = code.bperp.random_codeword(rng)
+    assert is_piecewise_linear(F13, piecewise, 3)
+    for i in range(12):  # piecewise on every coset but the one holding position i
+        w = piecewise.copy()
+        w[i] = (w[i] + 1) % 13
+        assert not is_piecewise_linear(F13, w, 3)
 
 
 def test_fqtb_recover_block_all_ones():

@@ -20,6 +20,7 @@ from qlrc.polycode import (
 from qlrc.qtb import fqtb_new, qtb_new
 from qlrc.qtbdec import (
     DecOutcome,
+    _map_back,
     _shift_difference,
     dec_c,
     dec_c_folded,
@@ -207,6 +208,30 @@ def test_dec_c_folded_exact_and_planted():
         out = dec_c_folded(code, blocks, e=e)
         resid = ctx.sub(out.word.reshape(-1), c)
         assert code.base.css.dual_x_space.contains(resid)
+
+
+@pytest.mark.parametrize("q,r", [(13, 3), (16, 5), (31, 5)])
+def test_map_back_inverts_the_differencing(q, r):
+    # coefficient j of the i-th differenced word is a_j (w_r^((j-1)i) - 1), a
+    # zero factor only at j = 1 mod r; a candidate with a nonzero coefficient
+    # at j = +-1 mod r is rejected
+    ctx = field_from_order(q)
+    wr = root_of_unity(ctx, r)
+    rng = np.random.default_rng(q)
+    ell = q - 2
+    for _ in range(10):
+        a = rng.integers(0, q, size=ell)
+        a[[j for j in range(ell) if j % r in (1, r - 1)]] = 0
+        for i in range(1, r):
+            g = np.array([ctx.mul(int(a[j]), ctx.sub(ctx.pow(wr, (j - 1) * i % r), 1))
+                          for j in range(ell)], dtype=np.int64)
+            diff = _shift_difference(ctx, evaluate_values(ctx, a), r, i)
+            assert np.array_equal(evaluate_values(ctx, g), diff)
+            assert np.array_equal(_map_back(ctx, g, r, i), a)
+            for j in (1, r - 1, r + 1, 2 * r - 1):
+                bad = g.copy()
+                bad[j] = 1
+                assert _map_back(ctx, bad, r, i) is None
 
 
 # sha256 of dec_c_folded's outputs on the seeded words below, computed when
