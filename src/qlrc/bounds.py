@@ -23,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CapExceeded, DomainError, HypothesisViolated, ViolationFound
-from .gf import _is_prime, field_from_order, rank
+from .gf import FieldCtx, _is_prime, field_from_order, rank
 
 UNCERTAINTY_LOCALITY_CAP = 13  # minor count C(2r, r) explodes beyond this
 
@@ -280,13 +280,20 @@ def uncertainty_holds(q: int, r: int) -> bool:
         raise CapExceeded(f"r={r} exceeds the minor-enumeration cap {UNCERTAINTY_LOCALITY_CAP}",
                           required=math.comb(2 * r, r))
     ctx = field_from_order(q)
-    v = ctx.units()[np.outer(np.arange(r), np.arange(r)) * ((q - 1) // r) % (q - 1)]  # w^(ij)
+    v = _root_vandermonde(ctx, r)
     for k in range(1, r + 1):
         for rows in itertools.combinations(range(r), k):
             for cols in itertools.combinations(range(r), k):
                 if rank(ctx, v[np.ix_(rows, cols)]) < k:
                     return False
     return True
+
+
+def _root_vandermonde(ctx: FieldCtx, r: int) -> np.ndarray:
+    """The r x r Vandermonde matrix [w^(ij)] on the r-th roots of unity
+    w^i, where w = omega^((q-1)/r)."""
+    q = ctx.q
+    return ctx.units()[np.outer(np.arange(r), np.arange(r)) * ((q - 1) // r) % (q - 1)]
 
 
 # -- appendix inequality verifiers ---------------------------------------------------

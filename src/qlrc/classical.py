@@ -3,8 +3,13 @@
 The exact minimum-weight machinery is the workhorse oracle of the whole
 package. ``min_weight_excluding(C, D)`` enumerates C grouped by its cosets
 of D, so "min weight over C \\ D" never needs a membership test: a word is
-outside D exactly when its coset label is nonzero. Enumeration is chunked
-and vectorized: each chunk of codewords is one ``gf.matmul``.
+outside D exactly when its coset label is nonzero. Scaling by a nonzero
+constant keeps both the weight and the coset label's being nonzero, so it
+weighs one word per line {lambda*c : lambda != 0}, about q^dim(C)/(q-1)
+words, and returns the minimum-weight word of lowest message index. The
+cap still bounds q^dim(C). Enumeration is chunked and vectorized: the
+codewords of the low message digits are tabled once with ``gf.matmul``,
+and a chunk is one broadcast comparison against a few high-digit words.
 
 ``min_weight_below`` is the complementary oracle: an increasing-weight
 exhaustive scan that is exact whenever the true distance is small, at cost
@@ -180,12 +185,17 @@ def min_weight_excluding(code: LinearCode, subcode: LinearCode,
     """Exact minimum Hamming weight over code \\ subcode, with a witness.
 
     Returns (inf, None) when the two codes coincide. With ``fold_s`` the
-    weight counts nonzero length-``fold_s`` blocks instead of symbols.
-    Work is q^dim(code) words; a larger cost raises CapExceeded.
+    weight counts nonzero length-``fold_s`` blocks instead of symbols. The
+    cap bounds q^dim(code), the size of the code; a larger code raises
+    CapExceeded.
 
     The basis is ordered [subcode rows | quotient representatives], so a
-    codeword lies outside the subcode exactly when its enumeration index is
-    >= q^dim(subcode); exclusion costs nothing per word.
+    codeword lies outside the subcode exactly when its message has a nonzero
+    quotient digit. Nonzero scaling keeps the weight and the side of the
+    subcode, so one word per line {lambda*c : lambda != 0} is scanned: the one
+    whose highest nonzero digit is 1, (q^dim(code) - q^dim(subcode))/(q - 1)
+    words in all. The witness is the minimum-weight word of lowest message
+    index, which is the lowest-index member of its line.
     """
     ctx = code.ctx
     if not subcode.is_subcode_of(code):
@@ -199,65 +209,62 @@ def min_weight_excluding(code: LinearCode, subcode: LinearCode,
 
     basis = np.vstack([subcode.basis, quotient_representatives(ctx, code.basis, subcode.basis)])
     assert basis.shape[0] == code.dim
-    skip = ctx.q**subcode.dim  # the first `skip` indices enumerate the subcode
 
     best = math.inf
     witness = None
-    start = 0
-    for indicators, raw, to_word in _weight_scan_chunks(ctx, basis):
-        stop = start + indicators.shape[0]
-        if stop > skip:
-            lo = max(0, skip - start)
-            sl = indicators[lo:]
-            if fold_s is None:
-                w = np.count_nonzero(sl != 0, axis=1)
-            else:
-                b = sl.reshape(sl.shape[0], -1, fold_s)
-                w = np.count_nonzero(np.any(b != 0, axis=2), axis=1)
-            i = int(np.argmin(w))
-            if w[i] < best:
-                best = int(w[i])
-                witness = to_word(raw[lo + i])
-                if best == 1:
-                    return best, witness
-        start = stop
+    for nonzero, word_at in _weight_scan_chunks(ctx, basis, subcode.dim):
+        if fold_s is not None:
+            nonzero = np.any(nonzero.reshape(-1, fold_s, nonzero.shape[1]), axis=1)
+        w = nonzero.sum(axis=0, dtype=np.min_scalar_type(nonzero.shape[0]))
+        i = int(np.argmin(w))
+        if w[i] < best:
+            best = int(w[i])
+            witness = word_at(i)
+            if best == 1:
+                break
     return best, witness
 
 
-def _weight_scan_chunks(ctx: FieldCtx, basis: np.ndarray):
-    """Chunked codeword stream tuned for weight scans.
+_LOW_TABLE_ROWS = 1 << 14  # the low message digits are tabled once, at most this many rows
+_SCAN_CHUNK = 1 << 19  # words per chunk
 
-    Yields (indicators, raw, to_word): ``indicators`` is nonzero exactly
-    where the codeword symbol is nonzero, ``raw`` holds enough data to
-    rebuild any row of the chunk, and ``to_word(raw_row)`` produces the
-    reduced codeword. Prime fields skip the expensive elementwise modulo by
-    classifying raw matmul accumulations through a small lookup table.
+
+def _weight_scan_chunks(ctx: FieldCtx, basis: np.ndarray, skip_digits: int):
+    """Chunked stream of one codeword per line, tuned for weight scans.
+
+    Covers, in increasing index order, the messages in [q^j, 2*q^j) for
+    j = ``skip_digits`` .. k-1: those whose highest nonzero digit is 1 and
+    sits at or above position ``skip_digits``. Each word is a row of a table
+    of the low digits' codewords, built once, plus one high-digit codeword;
+    the sum is nonzero exactly where the table entry differs from the
+    negated high codeword, so a chunk is one broadcast comparison and no
+    word is reduced until it is a witness.
+
+    Yields (nonzero, word_at): ``nonzero[j, i]`` tells whether symbol j of
+    the chunk's i-th word is nonzero, and ``word_at(i)`` builds that word.
     """
-    k = basis.shape[0]
-    p = ctx.p
-    if ctx.m == 1 and k * (p - 1) ** 2 < (1 << 24):
-        bound = k * (p - 1) ** 2
-        lut = (np.arange(bound + 1) % p != 0).astype(np.int8)
-        bf = basis.astype(np.float32)
-        powers = ctx.q ** np.arange(k, dtype=np.int64)
-        total = ctx.q**k
+    k, n = basis.shape
+    q = ctx.q
+    small = np.min_scalar_type(q - 1)
+    a = 0
+    while a < k - 1 and q ** (a + 1) <= _LOW_TABLE_ROWS:
+        a += 1
+    table = matmul(ctx, next(_message_chunks(q, a, q**a)), basis[:a])
+    table_t = table.T.astype(small, order="C")
+    for top in range(skip_digits, k):
+        low_digits = min(top, a)
+        rows = q**low_digits
+        for digits in _message_chunks(q, top - low_digits, max(1, _SCAN_CHUNK // rows)):
+            digits = np.pad(digits, ((0, 0), (0, 1)), constant_values=1)  # the top digit is 1
+            high = matmul(ctx, digits, basis[low_digits:top + 1])
+            minus_t = ctx.neg(high).T.astype(small, order="C")
+            nonzero = table_t[:, None, :rows] != minus_t[:, :, None]
 
-        def to_word(row):
-            return (np.asarray(row, dtype=np.int64) % p)
+            def word_at(i, high=high, rows=rows):
+                h, lo = divmod(i, rows)
+                return ctx.add(table[lo], high[h])
 
-        chunk = 1 << 19
-        for s0 in range(0, total, chunk):
-            idx = np.arange(s0, min(s0 + chunk, total), dtype=np.int64)
-            msgs = ((idx[:, None] // powers[None, :]) % ctx.q).astype(np.float32)
-            raw = (msgs @ bf).astype(np.int32)
-            yield lut[raw], raw, to_word
-        return
-
-    def identity(row):
-        return np.asarray(row, dtype=np.int64).copy()
-
-    for words in iter_codeword_chunks(ctx, basis):
-        yield words, words, identity
+            yield nonzero.reshape(n, -1), word_at
 
 
 def min_weight(code: LinearCode, cap: int = DEFAULT_CAP,

@@ -206,11 +206,14 @@ def _simulate_code(built, args):
         meta = {"family": fam, "q": css.ctx.q, "r": obj.r, "ell": obj.ell,
                 "s": obj.s if fam == "fqtb" else 1, "e": weight}
     elif fam == "ael":
+        if model != "mixed":
+            raise ValidationError(f"AEL codes decode mixed block errors only, not model {model!r}")
         code = obj.code
         weight = args.weight if args.weight is not None else obj.radius_blocks
         if weight > obj.radius_blocks and not args.allow_overload:
             raise ValidationError(
                 f"weight {weight} blocks exceeds radius {obj.radius_blocks}; pass --allow-overload")
+        obj.build_decode_tables()
 
         def sample(rng):
             return random_block_pauli(code.ctx, code.block_count, code.delta, weight, rng)

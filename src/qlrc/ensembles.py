@@ -773,6 +773,16 @@ class AelStandard:
             "radius_blocks": self.radius_blocks,
         }
 
+    def build_decode_tables(self) -> None:
+        """Build what a decode and its residual check would otherwise build
+        on first use, so that no timed decode pays for it: both sides' inner
+        syndrome tables, the CSS syndrome solvers and the stabilizer spaces
+        that ``css.is_logical_identity`` reads."""
+        css = self.code.css
+        for side in ("x", "z"):
+            _inner_decoder_cache(self.code, side, self.inner_radius)
+        _ = css.solver_x, css.solver_z, css.dual_x_space, css.dual_z_space  # cached on first read
+
 
 def ael_standard_build(seed: int, q_in: int = 5, n_in: int = 24, r_in: int = 3,
                        ell_in: int = 3, ell_out: int = 13, delta: int = 24,

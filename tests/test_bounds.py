@@ -1,5 +1,6 @@
 """Bound calculators: example values, exact rounding, grid invariants."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from qlrc.bounds import (
+    _root_vandermonde,
     decode_radius_fqtb,
     decode_radius_qtb,
     entropy_q,
@@ -30,6 +32,7 @@ from qlrc.bounds import (
     verify_appendix_inequalities,
 )
 from qlrc.errors import CapExceeded, DomainError, HypothesisViolated
+from qlrc.gf import field_from_order, rank
 
 
 def test_singleton_examples():
@@ -133,8 +136,20 @@ def test_uncertainty_examples():
 
 
 def test_uncertainty_vandermonde_determinant_value():
-    # (3-1)(9-1)(9-3) = 96 = 5 mod 13: nonzero, as the example computes
-    assert (3 - 1) * (9 - 1) * (9 - 3) % 13 == 5
+    # the matrix uncertainty_holds(13, 3) checks: nodes 1, 3, 9 and
+    # determinant (3-1)(9-1)(9-3) = 96 = 5 mod 13, by the Leibniz formula
+    ctx = field_from_order(13)
+    v = _root_vandermonde(ctx, 3)
+    assert sorted(v[:, 1].tolist()) == [1, 3, 9]
+    assert rank(ctx, v) == 3
+    det = 0
+    for perm in itertools.permutations(range(3)):
+        term = 1
+        for i, j in enumerate(perm):
+            term = ctx.mul(term, int(v[i, j]))
+        inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(3), 2))
+        det = ctx.add(det, ctx.neg(term) if inversions % 2 else term)
+    assert det == 5
 
 
 def test_surd_rounding_fuzz():

@@ -12,10 +12,12 @@ from qlrc.classical import (
     erasure_decode,
     eval_code,
     frs_code,
+    iter_codeword_chunks,
     local_recover_symbol,
     min_weight,
     min_weight_below,
     min_weight_excluding,
+    quotient_representatives,
     rs_code,
     tb_code,
 )
@@ -27,7 +29,7 @@ from qlrc.errors import (
     NotASubcode,
     ZeroPivot,
 )
-from qlrc.gf import field_from_order, field_new, rank
+from qlrc.gf import field_from_order, field_new, matmul, rank
 from qlrc.polycode import (
     DensePoly,
     coset_index_groups,
@@ -70,6 +72,65 @@ def test_min_weight_excluding_qtb734_sandwich():
     w, wit = min_weight_excluding(c, d)
     assert w == 2
     assert np.count_nonzero(wit) == 2 and c.contains(wit) and not d.contains(wit)
+
+
+def _lowest_min_weight_word(code, sub, fold_s):
+    """Oracle: weigh all q^dim(code) words in message order over the basis
+    [sub rows | quotient representatives] and keep the lowest-index word of
+    minimum weight outside the subcode."""
+    ctx = code.ctx
+    basis = np.vstack([sub.basis, quotient_representatives(ctx, code.basis, sub.basis)])
+    words = np.concatenate(list(iter_codeword_chunks(ctx, basis)))[ctx.q**sub.dim:]
+    if len(words) == 0:
+        return math.inf, None
+    if fold_s is None:
+        w = np.count_nonzero(words, axis=1)
+    else:
+        w = np.count_nonzero(np.any(words.reshape(len(words), -1, fold_s) != 0, axis=2), axis=1)
+    i = int(np.argmin(w))
+    return int(w[i]), words[i]
+
+
+def _random_rows(ctx, rng, rows, cols):
+    while True:
+        m = rng.integers(0, ctx.q, size=(rows, cols))
+        if rank(ctx, m) == rows:
+            return m
+
+
+@pytest.mark.parametrize("q", [7, 8, 9, 13])
+def test_min_weight_excluding_matches_full_enumeration(q):
+    ctx = field_from_order(q)
+    rng = np.random.default_rng(q)
+    k, n = 4, 6
+    for _ in range(2):
+        code = LinearCode(ctx, _random_rows(ctx, rng, k, n))
+        for sub_dim in range(k + 1):
+            mix = _random_rows(ctx, rng, sub_dim, k)
+            sub = LinearCode(ctx, matmul(ctx, mix, code.basis).reshape(sub_dim, n))
+            for fold_s in (None, 2):
+                d, wit = min_weight_excluding(code, sub, fold_s=fold_s)
+                d_ref, wit_ref = _lowest_min_weight_word(code, sub, fold_s)
+                assert d == d_ref
+                if wit_ref is None:
+                    assert wit is None
+                else:
+                    assert wit.dtype == np.int64 and np.array_equal(wit, wit_ref)
+
+
+@pytest.mark.parametrize("q", [7, 8, 9, 13])
+def test_min_weight_excluding_finds_words_only_under_the_last_quotient_row(q):
+    # words without the last quotient row are a + b*x_i on six distinct x_i,
+    # of weight >= 5; the weight-2 words are exactly the multiples of `last`
+    ctx = field_from_order(q)
+    ones = np.ones(6, dtype=np.int64)
+    last = np.array([0, 0, 0, 0, 1, 1], dtype=np.int64)
+    code = LinearCode(ctx, np.vstack([ones, ctx.units()[:6], last]))
+    sub = LinearCode(ctx, ones[None, :])
+    for fold_s, d_ref in ((None, 2), (2, 1)):
+        d, wit = min_weight_excluding(code, sub, fold_s=fold_s)
+        assert (d, wit.tolist()) == (d_ref, last.tolist())
+        assert _lowest_min_weight_word(code, sub, fold_s)[0] == d_ref
 
 
 def test_min_weight_excluding_equal_codes_is_infinite():

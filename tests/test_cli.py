@@ -164,6 +164,53 @@ def test_ael_descriptor_simulates(tmp_path, capsys):
     assert json.loads(out)["successes"] == 2
 
 
+@pytest.mark.parametrize("model", ["local", "erasure", "x-only", "z-only"])
+def test_ael_simulate_rejects_every_model_but_mixed(capsys, model):
+    code, _, err = run(capsys, "simulate", "--family", "ael", "--seed", "90",
+                       "--model", model, "--trials", "1")
+    assert code == 2
+    assert model in err
+
+
+def test_ael_simulate_builds_decode_tables_before_the_timed_decodes(capsys, monkeypatch):
+    from qlrc import cli, ensembles, gf
+
+    timed = []  # non-empty while a timed decode or its residual check runs
+    built = []  # (class, whether a timed call was running) per table built
+
+    def timing(name):
+        real = getattr(cli, name)
+
+        def call(*args, **kwargs):
+            timed.append(True)
+            try:
+                return real(*args, **kwargs)
+            finally:
+                timed.pop()
+
+        monkeypatch.setattr(cli, name, call)
+
+    def recording(cls):
+        real_init = cls.__init__
+
+        def init(self, *args, **kwargs):
+            built.append((cls.__name__, bool(timed)))
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", init)
+
+    timing("ael_quantum_decode")
+    timing("is_logical_identity")
+    for cls in (ensembles._InnerDecoder, gf.Solver, gf.RowSpace):
+        recording(cls)
+    code, out, err = run(capsys, "simulate", "--family", "ael", "--seed", "90", "--trials", "2")
+    assert code == 0, err
+    assert json.loads(out)["successes"] == 2
+    assert not any(during for _, during in built)
+    assert [name for name, _ in built].count("_InnerDecoder") == 2
+    assert [name for name, _ in built].count("Solver") == 2
+
+
 @pytest.mark.parametrize("flags,key,value", [
     (("--family", "qtb", "--q", "13", "--r", "3", "--ell", "8"), "omega", 6),
     (("--family", "rs", "--q", "9", "--ell", "4"), "modulus", [2, 1, 1]),

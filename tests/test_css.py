@@ -55,8 +55,9 @@ def test_css_distance_brute_714():
 
 
 def test_css_distance_at_most_quantum_singleton():
-    for code in (qtb_css(7, 3, 4), qtb_css(13, 3, 8)) if False else (qtb_css(7, 3, 4),):
+    for code, expected in ((qtb_css(7, 3, 4), 2), (qtb_css(13, 3, 8), 4)):
         d, _, _ = css_distance_brute(code)
+        assert d == expected
         assert d <= singleton_quantum(code.n, code.k)
 
 
