@@ -38,7 +38,6 @@ from .ensembles import (
     stream_rng,
 )
 from .errors import CapExceeded, DecodeContractViolation, QlrcError, ValidationError
-from .qtb import FqtbCode, QtbCode
 from .qtbdec import quantum_decode, quantum_decode_radius
 
 
@@ -189,6 +188,7 @@ def _simulate_code(built, args):
             if weight > radius and not args.allow_overload:
                 raise ValidationError(
                     f"weight {weight} exceeds decode radius {radius}; pass --allow-overload")
+            css.build_decode_tables()
 
             def sample(rng):
                 if fam == "fqtb":

@@ -128,6 +128,11 @@ class CssCode:
     def solver_z(self) -> Solver:
         return Solver(self.ctx, self.hz)
 
+    def build_decode_tables(self) -> None:
+        """Build the syndrome solvers and the stabilizer row spaces now, so
+        that no decode or residual check pays for them."""
+        _ = self.solver_x, self.solver_z, self.dual_x_space, self.dual_z_space
+
 
 def css_new(cx: LinearCode, cz: LinearCode,
             recovery: Sequence[RecoverySet] | None = None) -> CssCode:

@@ -50,6 +50,8 @@ from .listdec import rs_unique_decode
 from .polycode import evaluate_values
 
 _REJECTION_TRIES = 256
+_DISTANCE_ATTEMPTS = 200  # seeds tried by sample_qlrc_with_distance
+_EXPANDER_RETRIES = 32  # matching restarts in expander_sample
 
 
 def stream_rng(seed: int, *path: int) -> np.random.Generator:
@@ -175,14 +177,14 @@ def certified_distance_at_least(code: CssCode, t: int) -> bool:
 
 
 def sample_qlrc_with_distance(n: int, r: int, ell: int, q: int, seed: int,
-                              d_min: int, max_attempts: int = 200) -> RandomQlrc:
+                              d_min: int) -> RandomQlrc:
     """Resample until the brute certificate d >= d_min holds."""
-    for attempt in range(max_attempts):
+    for attempt in range(_DISTANCE_ATTEMPTS):
         cand = random_qlrc(n, r, ell, q, seed + attempt)
         if certified_distance_at_least(cand.css, d_min):
             return cand
     raise SamplingFailedAfterRetries(
-        f"no sample with certified distance >= {d_min} in {max_attempts} attempts")
+        f"no sample with certified distance >= {d_min} in {_DISTANCE_ATTEMPTS} attempts")
 
 
 @dataclass(frozen=True)
@@ -331,12 +333,12 @@ def _random_perfect_matching(avail: np.ndarray, rng: np.random.Generator) -> np.
     return match_l
 
 
-def expander_sample(n: int, delta: int, seed: int, retries: int = 32) -> ExpanderGraph:
+def expander_sample(n: int, delta: int, seed: int) -> ExpanderGraph:
     """Union of delta random perfect matchings with no repeated edges."""
     if not 1 <= delta <= n:
         raise ValidationError(f"need 1 <= delta <= n for a simple graph, got delta={delta}, n={n}")
     rng = stream_rng(seed)
-    for _ in range(retries):
+    for _ in range(_EXPANDER_RETRIES):
         avail = np.ones((n, n), dtype=bool)
         rows = []
         ok = True
@@ -349,7 +351,8 @@ def expander_sample(n: int, delta: int, seed: int, retries: int = 32) -> Expande
             avail[np.arange(n), m] = False
         if ok:
             return ExpanderGraph(n=n, delta=delta, matchings=np.asarray(rows), seed=seed)
-    raise SamplingFailedAfterRetries(f"no simple {delta}-regular sample after {retries} retries")
+    raise SamplingFailedAfterRetries(
+        f"no simple {delta}-regular sample after {_EXPANDER_RETRIES} retries")
 
 
 def measure_lambda(graph: ExpanderGraph) -> float:
@@ -557,11 +560,7 @@ def ael_build(outer: CssCode, inner: CssCode, graph: ExpanderGraph, delta: int,
 
     # routing: pre-permutation qudit (block i, slot j) lands at block
     # matchings[j][i], same slot
-    perm = np.zeros(n_total, dtype=np.int64)
-    for i in range(n_blocks):
-        for j in range(delta):
-            dest_block, dest_slot = graph.route(i, j)
-            perm[i * delta + j] = dest_block * delta + dest_slot
+    perm = (graph.matchings.T * delta + np.arange(delta)).reshape(-1)
 
     def permute(rows: list[np.ndarray]) -> np.ndarray:
         arr = np.asarray(rows, dtype=np.int64)
@@ -587,27 +586,12 @@ def ael_locality_structure(code: AelCode) -> list[tuple[int, tuple[int, ...]]]:
     other qudits: locality delta * r_in including the block itself.
     """
     out = []
-    n_in, delta, r_in = code.n_in, code.delta, code.r_in
-    blocks_per_inner = n_in // delta
-    for t in range(code.n_out):
-        for u in range(n_in):
-            pre_block = t * blocks_per_inner + u // delta
-            slot = u % delta
-            lo = (u // r_in) * r_in
-            partners = []
-            for u2 in range(lo, lo + r_in):
-                pb = t * blocks_per_inner + u2 // delta
-                sl = u2 % delta
-                db, ds = code.graph.route(pb, sl)
-                partners.append(db * delta + ds)
-            mine = partners[u - lo]
-            others = tuple(p for i, p in enumerate(partners) if i != u - lo)
-            my_block = mine // delta
-            other_blocks = {p // delta for p in others}
-            if my_block in other_blocks or len(other_blocks) != r_in - 1:
-                raise FoldingMismatch(
-                    f"recovery partners of qudit ({t},{u}) collide across blocks")
-            out.append((mine, others))
+    # qudit (t, u) has pre-permutation index t * n_in + u, and its recovery
+    # group is the aligned run of r_in indices holding it
+    for g, group in enumerate(code.perm.reshape(-1, code.r_in).tolist()):
+        if len({p // code.delta for p in group}) != code.r_in:
+            raise FoldingMismatch(f"recovery group {g} collides across blocks")
+        out.extend((mine, tuple(group[:i] + group[i + 1:])) for i, mine in enumerate(group))
     return out
 
 
@@ -687,7 +671,7 @@ class AelDecodeResult:
 
 
 def ael_decode(code: AelCode, word: np.ndarray, side: str = "z",
-               inner_radius: int | None = None) -> AelDecodeResult:
+               inner_radius: int = 1) -> AelDecodeResult:
     """Unpermute, inner-decode every block (erase on failure), outer-decode.
 
     ``inner_radius`` defaults to 1 (ael_standard_build records half the
@@ -698,8 +682,6 @@ def ael_decode(code: AelCode, word: np.ndarray, side: str = "z",
     ctx_in, ctx_out = code.ctx, code.outer.ctx
     word = np.asarray(word, dtype=np.int64)
     pre = word[code.perm]
-    if inner_radius is None:
-        inner_radius = 1
     words, found = _inner_decoder_cache(code, side, inner_radius).decode(
         pre.reshape(code.n_out, code.n_in))
     log = code.inner_logicals
@@ -778,10 +760,9 @@ class AelStandard:
         on first use, so that no timed decode pays for it: both sides' inner
         syndrome tables, the CSS syndrome solvers and the stabilizer spaces
         that ``css.is_logical_identity`` reads."""
-        css = self.code.css
         for side in ("x", "z"):
             _inner_decoder_cache(self.code, side, self.inner_radius)
-        _ = css.solver_x, css.solver_z, css.dual_x_space, css.dual_z_space  # cached on first read
+        self.code.css.build_decode_tables()
 
 
 def ael_standard_build(seed: int, q_in: int = 5, n_in: int = 24, r_in: int = 3,

@@ -15,6 +15,17 @@ every code built on top):
 * the generator ``omega`` is the smallest element (in the integer encoding
   order) of multiplicative order exactly q-1.
 
+An extension field is built with the GF(p) linear algebra below, on base-p
+digit vectors. A candidate modulus f has the companion matrix C, the matrix
+of multiplication by X mod f. Then C^(p^k) - C multiplies by X^(p^k) - X,
+so it has rank m exactly when gcd(f, X^(p^k) - X) = 1. Since X^(p^k) - X is
+the product of the monic irreducibles of degree dividing k, f is
+irreducible iff that rank is m for every 1 <= k <= m/2 (Rabin's criterion).
+An element g acts as g(C) = sum g_i C^i, and g has order q-1 iff
+g(C)^((q-1)/l) != I for every prime l dividing q-1. The exp table is the
+orbit of the digit vector of 1 under omega(C), built in blocks of about
+sqrt(q) rows, so no (q x m) digit matrix is ever held.
+
 Vectorized operations accept numpy integer arrays and operate elementwise.
 Extension fields keep exp/log tables (built once at construction), which
 caps them at q <= 2**22; prime fields have no tables and work for any
@@ -33,19 +44,12 @@ indexing and ``matmul``; none of them loops over field elements.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import (
-    CapExceeded,
-    NonPrimeCharacteristic,
-    NotADivisor,
-    Overflow,
-    ZeroElement,
-)
+from .errors import NonPrimeCharacteristic, NotADivisor, Overflow, ZeroElement
 
 _EXT_TABLE_CAP = 1 << 22  # exp/log tables for extension fields
 
@@ -78,68 +82,6 @@ def _factorize(n: int) -> list[int]:
     if n > 1:
         out.append(n)
     return out
-
-
-# -- polynomial helpers over GF(p), used only during field construction ------
-
-def _poly_mulmod(a: tuple[int, ...], b: tuple[int, ...], mod: tuple[int, ...], p: int) -> tuple[int, ...]:
-    m = len(mod) - 1
-    res = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                res[i + j] = (res[i + j] + ai * bj) % p
-    # reduce modulo the monic modulus
-    for i in range(len(res) - 1, m - 1, -1):
-        c = res[i]
-        if c:
-            res[i] = 0
-            for j in range(m):
-                res[i - m + j] = (res[i - m + j] - c * mod[j]) % p
-    return tuple(res[:m])
-
-
-def _poly_divides(d: tuple[int, ...], f: tuple[int, ...], p: int) -> bool:
-    """Whether monic d divides f over GF(p)."""
-    rem = list(f)
-    dd = len(d) - 1
-    while len(rem) - 1 >= dd:
-        c = rem[-1]
-        if c:
-            for j in range(len(d)):
-                rem[len(rem) - 1 - dd + j] = (rem[len(rem) - 1 - dd + j] - c * d[j]) % p
-        rem.pop()
-        while rem and rem[-1] == 0 and len(rem) - 1 >= dd:
-            rem.pop()
-    return all(c == 0 for c in rem)
-
-
-def _int_to_poly(v: int, p: int, deg: int) -> tuple[int, ...]:
-    out = []
-    for _ in range(deg + 1):
-        out.append(v % p)
-        v //= p
-    return tuple(out)
-
-
-def _irreducible(poly: tuple[int, ...], p: int) -> bool:
-    m = len(poly) - 1
-    if m == 1:
-        return True
-    for d in range(1, m // 2 + 1):
-        for v in range(p**d):
-            cand = _int_to_poly(v, p, d - 1) + (1,)
-            if _poly_divides(cand, poly, p):
-                return False
-    return True
-
-
-def _smallest_irreducible(p: int, m: int) -> tuple[int, ...]:
-    for low in range(p**m):
-        cand = _int_to_poly(low, p, m - 1) + (1,)
-        if _irreducible(cand, p):
-            return cand
-    raise AssertionError("no irreducible polynomial found")  # cannot happen
 
 
 @dataclass(frozen=True, eq=False)
@@ -306,31 +248,55 @@ def field_new(p: int, m: int = 1) -> FieldCtx:
         ctx = FieldCtx(p=p, m=1, q=q, modulus=(), omega=omega)
         if p <= 1 << 20:
             inv = np.zeros(p, dtype=np.int64)
-            units = np.arange(1, p, dtype=np.int64)
-            inv[1:] = _batch_inv_prime(units, p)
+            inv[1:] = ctx.pow(np.arange(1, p, dtype=np.int64), p - 2)
             object.__setattr__(ctx, "_inv_table", inv)
         return ctx
 
-    modulus = _smallest_irreducible(p, m)
-    omega, exp_table = _find_generator_ext(p, m, modulus)
+    modulus, omega, exp_table = _build_extension(p, m)
     log_table = np.full(q, -1, dtype=np.int64)
-    log_table[exp_table[: q - 1]] = np.arange(q - 1)
-    exp_ext = np.concatenate([exp_table[: q - 1], exp_table[: q - 1]])
-    ctx = FieldCtx(p=p, m=m, q=q, modulus=modulus, omega=omega,
-                   _exp=exp_ext, _log=log_table)
-    return ctx
+    log_table[exp_table] = np.arange(q - 1)
+    return FieldCtx(p=p, m=m, q=q, modulus=modulus, omega=omega,
+                    _exp=np.concatenate([exp_table, exp_table]), _log=log_table)
 
 
-def _batch_inv_prime(a: np.ndarray, p: int) -> np.ndarray:
-    out = np.ones_like(a)
-    base = a.copy()
-    e = p - 2
+def _mat_pow(ctx: FieldCtx, a: np.ndarray, e: int) -> np.ndarray:
+    """a**e for a square matrix over ctx, by repeated squaring."""
+    out = np.eye(len(a), dtype=np.int64)
     while e:
         if e & 1:
-            out = (out * base) % p
-        base = (base * base) % p
+            out = matmul(ctx, out, a)
+        a = matmul(ctx, a, a)
         e >>= 1
     return out
+
+
+def _build_extension(p: int, m: int) -> tuple[tuple[int, ...], int, np.ndarray]:
+    """Canonical modulus, omega and exp table (omega^0..omega^(q-2)) of GF(p^m), m >= 2."""
+    base = field_new(p)
+    q, digits, eye = p**m, p ** np.arange(m), np.eye(m, dtype=np.int64)
+    for low in range(q):  # candidate f = X^m + sum f_i X^i, f_i the digits of low
+        tail = low // digits % p
+        comp = np.eye(m, k=-1, dtype=np.int64)
+        comp[:, -1] = base.neg(tail)
+        if all(rank(base, base.sub(_mat_pow(base, comp, p**k), comp)) == m
+               for k in range(1, m // 2 + 1)):
+            break
+    powers = np.array([_mat_pow(base, comp, i) for i in range(m)]).reshape(m, m * m)
+    primes = _factorize(q - 1)
+    for omega in range(p, q):  # GF(p)* has order p-1 < q-1, so skip it
+        mult = matmul(base, omega // digits % p, powers).reshape(m, m)  # omega(C)
+        if all(np.any(_mat_pow(base, mult, (q - 1) // ell) != eye) for ell in primes):
+            break
+    # the orbit of 1 under omega(C) in blocks of about sqrt(q) digit rows:
+    # each block is the one before times omega^len(block)
+    block = eye[:1]
+    while len(block) ** 2 < q:
+        block = np.vstack([block, matmul(base, block, _mat_pow(base, mult, len(block)).T)])
+    jump, chunks = _mat_pow(base, mult, len(block)).T, []
+    for _ in range(0, q - 1, len(block)):
+        chunks.append(block @ digits)
+        block = matmul(base, block, jump)
+    return tuple(tail.tolist()) + (1,), omega, np.concatenate(chunks)[: q - 1]
 
 
 def _smallest_primitive_prime(p: int) -> int:
@@ -341,48 +307,6 @@ def _smallest_primitive_prime(p: int) -> int:
         if all(pow(g, (p - 1) // f, p) != 1 for f in factors):
             return g
     raise AssertionError("no primitive root found")
-
-
-def _mul_raw_ext(a: int, b: int, p: int, modulus: tuple[int, ...]) -> int:
-    m = len(modulus) - 1
-    pa = _int_to_poly(a, p, m - 1)
-    pb = _int_to_poly(b, p, m - 1)
-    pr = _poly_mulmod(pa, pb, modulus, p)
-    v = 0
-    for c in reversed(pr):
-        v = v * p + c
-    return v
-
-
-def _find_generator_ext(p: int, m: int, modulus: tuple[int, ...]) -> tuple[int, np.ndarray]:
-    q = p**m
-    n = q - 1
-    factors = _factorize(n)
-
-    def order_ok(g: int) -> bool:
-        for f in factors:
-            e = n // f
-            acc, base = 1, g
-            while e:
-                if e & 1:
-                    acc = _mul_raw_ext(acc, base, p, modulus)
-                base = _mul_raw_ext(base, base, p, modulus)
-                e >>= 1
-            if acc == 1:
-                return False
-        return True
-
-    for g in range(2, q):
-        if order_ok(g):
-            exp_table = np.empty(n, dtype=np.int64)
-            cur = 1
-            for i in range(n):
-                exp_table[i] = cur
-                cur = _mul_raw_ext(cur, g, p, modulus)
-            if cur != 1:
-                continue  # paranoia; order check above makes this unreachable
-            return g, exp_table
-    raise AssertionError("no generator found")
 
 
 def field_from_order(q: int) -> FieldCtx:

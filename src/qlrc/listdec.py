@@ -373,9 +373,8 @@ class FrsParams:
     windows: int  # equations per block, s - v + 1
 
 
-def frs_achieved_radius(q: int, ell: int, s: int,
-                        v_cap: int = FRS_SHIFT_CAP) -> FrsParams:
-    """Guaranteed radius of the linear-algebraic decoder at this v cap.
+def frs_achieved_radius(q: int, ell: int, s: int) -> FrsParams:
+    """Guaranteed radius of the linear-algebraic decoder at the v cap.
 
     For each number of interpolation variables v, the degree budget D is the
     smallest making the homogeneous system underdetermined, and a block is
@@ -385,7 +384,7 @@ def frs_achieved_radius(q: int, ell: int, s: int,
     """
     n_blocks = (q - 1) // s
     best = None
-    for v in range(1, min(s, v_cap) + 1):
+    for v in range(1, min(s, FRS_SHIFT_CAP) + 1):
         windows = s - v + 1
         constraints = n_blocks * windows
         d = max(0, -(-(constraints + 1 - ell - v) // (v + 1)))
@@ -407,9 +406,7 @@ def frs_paper_radius(q: int, ell: int, s: int) -> float:
     return n / s * (1 - (1 + 2 / math.sqrt(s)) * rate ** (1 - 1 / math.sqrt(s))) - 2
 
 
-def list_decode_frs(ctx: FieldCtx, ell: int, s: int, blocks: np.ndarray, e: int,
-                    v_cap: int = FRS_SHIFT_CAP,
-                    enum_cap: int = FRS_ENUM_CAP) -> list[np.ndarray]:
+def list_decode_frs(ctx: FieldCtx, ell: int, s: int, blocks: np.ndarray, e: int) -> list[np.ndarray]:
     """Complete list of degree-<ell messages within e block errors.
 
     When s*e <= (n-ell)//2, Gao's decoder runs on the unfolded word and its
@@ -426,7 +423,7 @@ def list_decode_frs(ctx: FieldCtx, ell: int, s: int, blocks: np.ndarray, e: int,
     n_blocks = n // s
     if blocks.shape != (n_blocks, s):
         raise ValidationError(f"expected folded shape {(n_blocks, s)}, got {blocks.shape}")
-    params = frs_achieved_radius(ctx.q, ell, s, v_cap)
+    params = frs_achieved_radius(ctx.q, ell, s)
     if e > params.e:
         raise RadiusTooLarge(f"e={e} exceeds the achieved folded radius {params.e}")
     if s * e <= (n - ell) // 2:
@@ -462,7 +459,7 @@ def list_decode_frs(ctx: FieldCtx, ell: int, s: int, blocks: np.ndarray, e: int,
         return []
     ker_f = nullspace(ctx, big)
     dim = ker_f.shape[0]
-    if ctx.q**dim > enum_cap:
+    if ctx.q**dim > FRS_ENUM_CAP:
         raise CapExceeded(f"folded candidate space has dimension {dim}", required=ctx.q**dim)
     out = []
     for chunk in iter_codeword_chunks(ctx, ker_f, chunk=_FRS_CHUNK):

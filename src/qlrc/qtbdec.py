@@ -18,13 +18,14 @@ the returned word is proven to be in the right dual coset.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
-from .bounds import decode_radius_fqtb, decode_radius_qtb, fqtb_distance_lower, frs_e_prime_for_radius
+from .bounds import decode_radius_qtb, fqtb_distance_lower, frs_e_prime_for_radius
 from .css import PauliError, css_decode, is_logical_identity, residual_after_correction, syndrome
 from .errors import DecodeContractViolation, DecodingFailed
 from .gf import FieldCtx, root_of_unity
@@ -120,8 +121,47 @@ class DecOutcome:
     rs_radius: int
 
 
+def _decode(code: QtbCode | FqtbCode, values: np.ndarray, list_decode, dist,
+            rs_radius: int, e: int | None) -> DecOutcome:
+    """The pipeline both decoders share: r-1 list decodes plus argmin.
+
+    ``values`` is a word or its (n/s, s) blocks. ``list_decode(diff)`` lists
+    the message polynomials near a differenced word of that shape, and
+    ``dist`` is the matching distance to the piecewise-linear space. When
+    ``e`` is given, callers promise dis(input, C) <= e and the output is
+    checked against the contract dis(output - input, dual) <= e, raising
+    DecodingFailed rather than ever returning silently wrong data.
+    """
+    ctx, r = code.ctx, code.r
+    values = np.asarray(values, dtype=np.int64)
+    candidates: dict[tuple, np.ndarray] = {}
+    list_sizes = []
+    for i in range(1, r):
+        diff = _shift_difference(ctx, values.reshape(-1), r, i).reshape(values.shape)
+        polys = list_decode(diff)
+        list_sizes.append(len(polys))
+        for g in polys:
+            mapped = _map_back(ctx, g, r, i)
+            if mapped is not None:
+                candidates.setdefault(tuple(mapped.tolist()), mapped)
+    if not candidates:
+        raise DecodingFailed("empty candidate list: input violated the decode radius")
+    best = None
+    for key in sorted(candidates):  # ties go to the smallest coefficient vector
+        word = evaluate_values(ctx, candidates[key]).reshape(values.shape)
+        d, _ = dist(ctx, ctx.sub(word, values), r)
+        if best is None or d < best[0]:
+            best = (d, word, candidates[key])
+    d, word, coeffs = best
+    if e is not None and d > e:
+        raise DecodingFailed(f"best candidate at piecewise distance {d} > promised e={e}")
+    return DecOutcome(word=word, coeffs=coeffs, dual_distance=d,
+                      candidates=len(candidates), list_sizes=tuple(list_sizes),
+                      rs_radius=rs_radius)
+
+
 @lru_cache(maxsize=None)
-def dec_c_radius(q: int, r: int, ell: int, m_cap: int = DEC_MULTIPLICITY_CAP) -> int:
+def dec_c_radius(q: int, r: int, ell: int) -> int:
     """Radius this build's unfolded decoder guarantees.
 
     The theorem radius assumes list decoding at the Johnson bound; with the
@@ -133,7 +173,7 @@ def dec_c_radius(q: int, r: int, ell: int, m_cap: int = DEC_MULTIPLICITY_CAP) ->
     thm = decode_radius_qtb(q, r, ell)
     if thm <= 0:
         return 0
-    rs_rad = best_feasible_radius_rs(q, ell, m_cap)
+    rs_rad = best_feasible_radius_rs(q, ell, DEC_MULTIPLICITY_CAP)
     e_forall = rs_rad // 2
     e_avg = 0
     n = q - 1
@@ -146,50 +186,18 @@ def dec_c_radius(q: int, r: int, ell: int, m_cap: int = DEC_MULTIPLICITY_CAP) ->
     return min(thm, max(e_forall, e_avg))
 
 
-def dec_c(code: QtbCode, values: np.ndarray, e: int | None = None,
-          m_cap: int = DEC_MULTIPLICITY_CAP) -> DecOutcome:
-    """Algorithm of the unfolded decoder: r-1 RS list decodes plus argmin.
-
-    When ``e`` is given, callers promise dis(input, C) <= e and the output
-    is checked against the contract dis(output - input, dual) <= e,
-    raising DecodingFailed rather than ever returning silently wrong data.
-    """
-    ctx = code.ctx
-    q, r, ell = code.q, code.r, code.ell
-    values = np.asarray(values, dtype=np.int64)
-    rs_rad = best_feasible_radius_rs(q, ell, m_cap)
-    candidates: dict[tuple, np.ndarray] = {}
-    list_sizes = []
-    for i in range(1, r):
-        diff = _shift_difference(ctx, values, r, i)
-        polys = list_decode_rs(ctx, ell, diff, rs_rad, m_cap=m_cap)
-        list_sizes.append(len(polys))
-        for g in polys:
-            mapped = _map_back(ctx, g, r, i)
-            if mapped is not None:
-                candidates.setdefault(tuple(mapped.tolist()), mapped)
-    if not candidates:
-        raise DecodingFailed("empty candidate list: input violated the decode radius")
-    best = None
-    for key in sorted(candidates):
-        coeffs = candidates[key]
-        word = evaluate_values(ctx, coeffs)
-        d, _ = dist_to_piecewise(ctx, ctx.sub(word, values), r)
-        if best is None or (d, key) < (best[0], best[1]):
-            best = (d, key, word, coeffs)
-    d, _, word, coeffs = best
-    if e is not None and d > e:
-        raise DecodingFailed(f"best candidate at piecewise distance {d} > promised e={e}")
-    return DecOutcome(word=word, coeffs=coeffs, dual_distance=d,
-                      candidates=len(candidates), list_sizes=tuple(list_sizes),
-                      rs_radius=rs_rad)
+def dec_c(code: QtbCode, values: np.ndarray, e: int | None = None) -> DecOutcome:
+    """Unfolded decoder: the shared pipeline over the RS list decoder."""
+    ctx, ell = code.ctx, code.ell
+    rs_rad = best_feasible_radius_rs(code.q, ell, DEC_MULTIPLICITY_CAP)
+    return _decode(code, values,
+                   lambda diff: list_decode_rs(ctx, ell, diff, rs_rad, m_cap=DEC_MULTIPLICITY_CAP),
+                   dist_to_piecewise, rs_rad, e)
 
 
 @lru_cache(maxsize=None)
 def dec_c_folded_radius(q: int, r: int, ell: int, s: int) -> int:
     """Radius the folded decoder guarantees, from the achieved fRS radius."""
-    import math
-
     d = fqtb_distance_lower(q, r, ell, s)
     half = math.floor(d / 2) - 1  # exact: d is a Fraction
     achieved = frs_achieved_radius(q, ell, s).e
@@ -199,36 +207,11 @@ def dec_c_folded_radius(q: int, r: int, ell: int, s: int) -> int:
 
 
 def dec_c_folded(code: FqtbCode, blocks: np.ndarray, e: int | None = None) -> DecOutcome:
-    """Folded decoder: identical pipeline over the folded list decoder."""
-    ctx = code.ctx
-    q, r, ell, s = code.q, code.r, code.ell, code.s
-    blocks = np.asarray(blocks, dtype=np.int64)
-    params = frs_achieved_radius(q, ell, s)
-    candidates: dict[tuple, np.ndarray] = {}
-    list_sizes = []
-    for i in range(1, r):
-        diff = _shift_difference(ctx, blocks.reshape(-1), r, i).reshape(-1, s)
-        polys = list_decode_frs(ctx, ell, s, diff, params.e)
-        list_sizes.append(len(polys))
-        for g in polys:
-            mapped = _map_back(ctx, g, r, i)
-            if mapped is not None:
-                candidates.setdefault(tuple(mapped.tolist()), mapped)
-    if not candidates:
-        raise DecodingFailed("empty candidate list: input violated the decode radius")
-    best = None
-    for key in sorted(candidates):
-        coeffs = candidates[key]
-        word = evaluate_values(ctx, coeffs).reshape(-1, s)
-        d, _ = dist_to_piecewise_folded(ctx, ctx.sub(word, blocks), r)
-        if best is None or (d, key) < (best[0], best[1]):
-            best = (d, key, word, coeffs)
-    d, _, word, coeffs = best
-    if e is not None and d > e:
-        raise DecodingFailed(f"best candidate at folded piecewise distance {d} > promised e={e}")
-    return DecOutcome(word=word, coeffs=coeffs, dual_distance=d,
-                      candidates=len(candidates), list_sizes=tuple(list_sizes),
-                      rs_radius=params.e)
+    """Folded decoder: the shared pipeline over the folded list decoder."""
+    ctx, ell, s = code.ctx, code.ell, code.s
+    radius = frs_achieved_radius(code.q, ell, s).e
+    return _decode(code, blocks, lambda diff: list_decode_frs(ctx, ell, s, diff, radius),
+                   dist_to_piecewise_folded, radius, e)
 
 
 # -- quantum wrapper ----------------------------------------------------------------
@@ -250,18 +233,14 @@ def quantum_decode(code: QtbCode | FqtbCode, err: PauliError,
     """
     folded = isinstance(code, FqtbCode)
     css = code.base.css if folded else code.css
+    decoder, s = (dec_c_folded, code.s) if folded else (dec_c, 1)
     radius = quantum_decode_radius(code)
-    weight = err.block_weight(code.s) if folded else err.weight
+    weight = err.block_weight(s)
     within = weight <= radius
 
-    if folded:
-        def dec(t: np.ndarray) -> np.ndarray:
-            out = dec_c_folded(code, t.reshape(-1, code.s),
-                               e=radius if within else None)
-            return out.word.reshape(-1)
-    else:
-        def dec(t: np.ndarray) -> np.ndarray:
-            return dec_c(code, t, e=radius if within else None).word
+    def dec(t: np.ndarray) -> np.ndarray:
+        word = t.reshape(-1, s) if folded else t
+        return decoder(code, word, e=radius if within else None).word.reshape(-1)
 
     sx, sz = syndrome(css, err)
     try:

@@ -172,7 +172,14 @@ def test_ael_simulate_rejects_every_model_but_mixed(capsys, model):
     assert model in err
 
 
-def test_ael_simulate_builds_decode_tables_before_the_timed_decodes(capsys, monkeypatch):
+@pytest.mark.parametrize("flags,decoder,inner_tables", [
+    (("--family", "ael", "--seed", "90"), "ael_quantum_decode", 2),
+    (("--family", "qtb", "--q", "127", "--r", "3", "--ell", "80"), "quantum_decode", 0),
+    (("--family", "fqtb", "--q", "127", "--r", "3", "--ell", "64", "--s", "2"),
+     "quantum_decode", 0),
+], ids=["ael", "qtb", "fqtb"])
+def test_simulate_builds_decode_tables_before_the_timed_decodes(capsys, monkeypatch, flags,
+                                                               decoder, inner_tables):
     from qlrc import cli, ensembles, gf
 
     timed = []  # non-empty while a timed decode or its residual check runs
@@ -199,15 +206,15 @@ def test_ael_simulate_builds_decode_tables_before_the_timed_decodes(capsys, monk
 
         monkeypatch.setattr(cls, "__init__", init)
 
-    timing("ael_quantum_decode")
+    timing(decoder)
     timing("is_logical_identity")
     for cls in (ensembles._InnerDecoder, gf.Solver, gf.RowSpace):
         recording(cls)
-    code, out, err = run(capsys, "simulate", "--family", "ael", "--seed", "90", "--trials", "2")
+    code, out, err = run(capsys, "simulate", *flags, "--trials", "2")
     assert code == 0, err
     assert json.loads(out)["successes"] == 2
     assert not any(during for _, during in built)
-    assert [name for name, _ in built].count("_InnerDecoder") == 2
+    assert [name for name, _ in built].count("_InnerDecoder") == inner_tables
     assert [name for name, _ in built].count("Solver") == 2
 
 

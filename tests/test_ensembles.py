@@ -34,7 +34,7 @@ from qlrc.ensembles import (
     sample_qlrc_with_distance,
     stream_rng,
 )
-from qlrc.errors import SiblingErased, ValidationError
+from qlrc.errors import FoldingMismatch, SiblingErased, ValidationError
 from qlrc.gf import field_new
 
 
@@ -240,6 +240,15 @@ def test_ael_permuted_graph_structure_and_decode():
     code = ael_build(outer, inner.css, graph, delta=6, r_in=3)
     structure = ael_locality_structure(code)
     assert len(structure) == code.n_qudits
+    # reference: route pre-permutation qudit (block i, slot j) through the graph;
+    # qudit x of the concatenation recovers from the aligned triple holding it
+    routed = [graph.route(i, j)[0] * 6 + j for i in range(16) for j in range(6)]
+    assert code.perm.tolist() == routed
+    assert structure == [(routed[x], tuple(routed[y] for y in range(x // 3 * 3, x // 3 * 3 + 3)
+                                           if y != x)) for x in range(code.n_qudits)]
+    with pytest.raises(FoldingMismatch):  # every triple stays in its own block
+        ael_locality_structure(ael_build(outer, inner.css, ExpanderGraph.identity(16, 6),
+                                         delta=6, r_in=3))
     rng = np.random.default_rng(3)
     msg = rng.integers(0, 9, size=code.outer.k)
     w = ael_encode(code, msg, "z")

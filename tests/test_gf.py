@@ -1,5 +1,7 @@
 """Field arithmetic: construction examples, axioms, and linear algebra."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -70,6 +72,27 @@ def test_gf16_modulus_is_irreducible_by_exhaustive_root_and_factor_scan():
                         rem[len(rem) - 3 + i] ^= d * c
                 rem.pop()
             assert any(rem), f"quadratic {div} divides the modulus"
+
+
+# sha256 of the canonical choices and tables of every GF(p^m) <= 2**12 with
+# p <= 31 and m >= 2, plus seven prime fields, computed with the trial-division
+# construction; any other construction must reproduce it byte for byte
+FIELD_TABLES_SHA256 = "780a7c7faf677ecb7035ca8807e82a862c80111e0f3724a4c57a6306b41748cd"
+PINNED_FIELDS = [(p, m) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+                 for m in range(2, 13) if p**m <= 1 << 12] + [
+                     (p, 1) for p in (2, 3, 5, 7, 13, 127, 8191)]
+
+
+def test_field_construction_is_pinned():
+    digest = hashlib.sha256()
+    for p, m in PINNED_FIELDS:
+        ctx = field_new(p, m)
+        digest.update(repr((p, m, ctx.modulus, ctx.omega)).encode())
+        for a in (ctx._exp, ctx._log, ctx._inv_table, ctx.units()):
+            digest.update(b"none" if a is None
+                          else repr((a.dtype.str, a.shape)).encode() + a.tobytes())
+    assert len(PINNED_FIELDS) == 40
+    assert digest.hexdigest() == FIELD_TABLES_SHA256
 
 
 def test_construction_rejections():
