@@ -34,7 +34,7 @@ from .errors import (
     NotASubcode,
     ZeroPivot,
 )
-from .gf import FieldCtx, RowSpace, matmul, nullspace, rank, rref, solve_right
+from .gf import FieldCtx, RowSpace, Solver, matmul, nullspace, rank, rref, solve_right
 from .polycode import powers, support_tb
 
 DEFAULT_CAP = 1 << 30
@@ -82,6 +82,11 @@ class LinearCode:
     @cached_property
     def dual_space(self) -> RowSpace:
         return RowSpace(self.ctx, self.dual_basis)
+
+    @cached_property
+    def syndrome_solver(self) -> Solver:
+        """Solves dual_basis @ x = syndrome for one x."""
+        return Solver(self.ctx, self.dual_basis)
 
     def dual(self) -> "LinearCode":
         return LinearCode(self.ctx, self.dual_basis)
@@ -167,16 +172,14 @@ def iter_codeword_chunks(ctx: FieldCtx, basis: np.ndarray,
 def quotient_representatives(ctx: FieldCtx, basis: np.ndarray,
                              sub_basis: np.ndarray) -> np.ndarray:
     """The rows of ``basis``, in order, that are independent modulo the span
-    of ``sub_basis`` and of the rows taken before them."""
-    stacked = list(sub_basis)
-    out = []
-    for row in basis:
-        if len(stacked) == basis.shape[0]:
-            break
-        if rank(ctx, np.vstack(stacked + [row])) == len(stacked) + 1:
-            stacked.append(row)
-            out.append(row)
-    return np.asarray(out, dtype=np.int64).reshape(-1, basis.shape[1])
+    of ``sub_basis`` (independent rows) and of the rows taken before them.
+
+    Row j of a stack is independent of the rows above it exactly when column
+    j of the transposed stack is a pivot column, so one elimination serves.
+    """
+    k = len(sub_basis)
+    _, pivots = rref(ctx, np.vstack([sub_basis, basis]).T)
+    return np.asarray(basis, dtype=np.int64)[[c - k for c in pivots if c >= k]]
 
 
 def min_weight_excluding(code: LinearCode, subcode: LinearCode,
@@ -352,4 +355,4 @@ def local_recover_symbol(code: LinearCode, values: np.ndarray, i: int,
     others = np.flatnonzero(check)
     others = others[others != i]
     values = np.asarray(values, dtype=np.int64)
-    return ctx.neg(ctx.div(ctx.dot(check[others], values[others]), int(check[i])))
+    return int(ctx.neg(ctx.div(matmul(ctx, check[others], values[others]), check[i])))

@@ -60,15 +60,8 @@ def _emit(args, payload, csv_rows=None, csv_header=None) -> None:
     else:
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
-        if csv_header:
-            w.writerow(csv_header)
-        for row in csv_rows if csv_rows is not None else [list(payload.values())]:
-            w.writerow(row)
-        if csv_rows is None and csv_header is None:
-            buf = io.StringIO()
-            w = csv.writer(buf, lineterminator="\n")
-            w.writerow(list(payload.keys()))
-            w.writerow(list(payload.values()))
+        w.writerow(csv_header or list(payload))
+        w.writerows(csv_rows if csv_rows is not None else [list(payload.values())])
         text = buf.getvalue()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as f:
@@ -214,6 +207,7 @@ def _simulate_code(built, args):
             raise ValidationError(
                 f"weight {weight} blocks exceeds radius {obj.radius_blocks}; pass --allow-overload")
         obj.build_decode_tables()
+        within = weight <= obj.radius_blocks
 
         def sample(rng):
             return random_block_pauli(code.ctx, code.block_count, code.delta, weight, rng)
@@ -221,11 +215,15 @@ def _simulate_code(built, args):
         def decode(err):
             try:
                 _, resid = ael_quantum_decode(obj, err)
-                return is_logical_identity(code.css, resid)
+                good = is_logical_identity(code.css, resid)
             except QlrcError:
-                if weight <= obj.radius_blocks:
+                if within:
                     raise DecodeContractViolation("AEL decode failed within radius")
                 return False
+            if within and not good:
+                raise DecodeContractViolation(
+                    f"non-identity AEL residual for {weight} <= {obj.radius_blocks} blocks")
+            return good
         meta = {"family": fam, "q": code.ctx.q, "r": code.locality,
                 "ell": code.outer.cz.dim, "s": code.delta, "e": weight}
     else:
@@ -344,17 +342,10 @@ def cmd_ensemble(args) -> int:
               csv_header=header)
         return 0
     if args.kind == "ael":
-        from .ensembles import ael_standard_build
-
-        std = ael_standard_build(args.seed)
-        code = std.code
-        successes = 0
-        for t in range(args.trials):
-            rng = stream_rng(args.seed, t)
-            err = random_block_pauli(code.ctx, code.block_count, code.delta,
-                                     std.radius_blocks, rng)
-            _, resid = ael_quantum_decode(std, err)
-            successes += is_logical_identity(code.css, resid)
+        built = descriptor.build({"family": "ael", "seed": args.seed})
+        sim_args = argparse.Namespace(**vars(args), model="mixed", weight=None, allow_overload=False)
+        successes = _simulate_code(built, sim_args)[2]
+        std, code = built.obj, built.obj.code
         payload = dict(kind="ael", n_qudits=code.n_qudits, k=code.k_qudits,
                        rate=str(code.rate), locality=code.locality,
                        lam=std.lam, alpha=std.alpha,

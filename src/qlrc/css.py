@@ -21,7 +21,6 @@ enumerated once).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -99,38 +98,39 @@ class CssCode:
     def k(self) -> int:
         return self.n - (self.n - self.cx.dim) - (self.n - self.cz.dim)
 
-    @cached_property
+    @property
     def hx(self) -> np.ndarray:
         """Parity-check matrix of C_X; rows span C_X-dual."""
         return self.cx.dual_basis
 
-    @cached_property
+    @property
     def hz(self) -> np.ndarray:
         return self.cz.dual_basis
 
-    @cached_property
+    @property
     def dual_x_space(self) -> RowSpace:
-        return RowSpace(self.ctx, self.hx)
+        return self.cx.dual_space
 
-    @cached_property
+    @property
     def dual_z_space(self) -> RowSpace:
-        return RowSpace(self.ctx, self.hz)
+        return self.cz.dual_space
 
     @property
     def symmetric(self) -> bool:
         return self.cx is self.cz or self.cx.same_row_space(self.cz)
 
-    @cached_property
+    @property
     def solver_x(self) -> Solver:
-        return Solver(self.ctx, self.hx)
+        return self.cx.syndrome_solver
 
-    @cached_property
+    @property
     def solver_z(self) -> Solver:
-        return Solver(self.ctx, self.hz)
+        return self.cz.syndrome_solver
 
     def build_decode_tables(self) -> None:
         """Build the syndrome solvers and the stabilizer row spaces now, so
-        that no decode or residual check pays for them."""
+        that no decode or residual check pays for them. They are cached on
+        the component codes, so C_X = C_Z builds each once."""
         _ = self.solver_x, self.solver_z, self.dual_x_space, self.dual_z_space
 
 
@@ -311,13 +311,10 @@ def recover_pauli(code: CssCode, rs: RecoverySet, err: PauliError) -> PauliError
     """
     ctx = code.ctx
     i = rs.position
-    s_from_x_check = ctx.dot(rs.check_x, err.bx)
-    s_from_z_check = ctx.dot(rs.check_z, err.bz)
-    ex = ctx.div(s_from_x_check, int(rs.check_x[i]))
-    ez = ctx.div(s_from_z_check, int(rs.check_z[i]))
     bx = np.zeros(code.n, dtype=np.int64)
     bz = np.zeros(code.n, dtype=np.int64)
-    bx[i], bz[i] = ex, ez
+    bx[i] = ctx.div(matmul(ctx, rs.check_x, err.bx), rs.check_x[i])
+    bz[i] = ctx.div(matmul(ctx, rs.check_z, err.bz), rs.check_z[i])
     return PauliError(bx, bz)
 
 

@@ -12,10 +12,10 @@ import json
 from dataclasses import dataclass
 from typing import Any
 
-from .classical import FoldedCode, LinearCode, rs_code, tb_code
+from .classical import FoldedCode, rs_code, tb_code
 from .errors import ValidationError
 from .gf import field_from_order
-from .qtb import FqtbCode, QtbCode, fqtb_new, qtb_new
+from .qtb import fqtb_new, qtb_new
 
 FAMILIES = ("qtb", "fqtb", "rs", "tb", "frs", "random_qlrc", "ael")
 

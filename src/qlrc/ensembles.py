@@ -64,7 +64,7 @@ def stream_rng(seed: int, *path: int) -> np.random.Generator:
 def _block_patterns(ctx: FieldCtx, r: int) -> tuple[np.ndarray, np.ndarray]:
     """The weight-r X and Z check patterns on one block, both all-nonzero."""
     x_pat = np.ones(r, dtype=np.int64)
-    lead = ctx.neg((r - 1) % ctx.p if ctx.m == 1 else ctx.add(0, (r - 1) % ctx.p))
+    lead = ctx.neg((r - 1) % ctx.p)  # r - 1 in the prime subfield
     if lead != 0:
         z_pat = np.ones(r, dtype=np.int64)
         z_pat[0] = lead
@@ -77,11 +77,7 @@ def _block_patterns(ctx: FieldCtx, r: int) -> tuple[np.ndarray, np.ndarray]:
     z_pat = np.ones(r, dtype=np.int64)
     z_pat[0] = ctx.sub(1, c)
     z_pat[-1] = c
-    assert z_pat[0] != 0
-    total = 0
-    for v in z_pat.tolist():
-        total = ctx.add(total, int(v))
-    assert total == 0  # orthogonal to the all-ones X pattern
+    assert z_pat[0] != 0 and matmul(ctx, x_pat, z_pat) == 0  # orthogonal to the X pattern
     return x_pat, z_pat
 
 
@@ -445,10 +441,10 @@ class Flattening:
 def flattening(ext: FieldCtx) -> Flattening:
     """Build the basis pair for an extension field over its prime subfield."""
     k = ext.m
-    basis = tuple(ext.p**i for i in range(k))
-    gram = np.asarray([[ext.trace(ext.mul(u, v)) for v in basis] for u in basis], dtype=np.int64)
-    dual = matmul(ext, _matrix_inverse(field_new(ext.p), gram), np.asarray(basis))
-    return Flattening(ctx=ext, k=k, basis=basis, dual=tuple(dual.tolist()), gram=gram)
+    basis = ext.p ** np.arange(k)
+    gram = ext.trace(ext.mul(basis[:, None], basis[None, :]))
+    dual = matmul(ext, _matrix_inverse(field_new(ext.p), gram), basis)
+    return Flattening(ctx=ext, k=k, basis=tuple(basis.tolist()), dual=tuple(dual.tolist()), gram=gram)
 
 
 # -- the AEL construction ------------------------------------------------------------------

@@ -26,10 +26,15 @@ g(C)^((q-1)/l) != I for every prime l dividing q-1. The exp table is the
 orbit of the digit vector of 1 under omega(C), built in blocks of about
 sqrt(q) rows, so no (q x m) digit matrix is ever held.
 
-Vectorized operations accept numpy integer arrays and operate elementwise.
+Each ``FieldCtx`` operation has one path: elementwise over numpy integer
+arrays, with a Python int or numpy scalar taken as a 0-d array (a 0-d
+result comes back as a hashable numpy scalar). There is no scalar branch;
+callers that need many field values gather them from ``units()``, the
+powers of omega in position order, or batch them into one array call.
 Extension fields keep exp/log tables (built once at construction), which
 caps them at q <= 2**22; prime fields have no tables and work for any
-prime below 2**31 with int64 arithmetic.
+prime below 2**31 with int64 arithmetic. Roots of unity and the cosets of
+Omega_r are strided reads of ``units()``.
 
 ``matmul(ctx, a, b)`` is the one linear-combination kernel: ``a @ b`` over
 the field with numpy's 1-D/2-D shape rules, reduced once per product. A
@@ -102,7 +107,7 @@ class FieldCtx:
     _inv_table: np.ndarray = field(repr=False, default=None)
     _units: np.ndarray = field(repr=False, default=None)
 
-    # -- scalar/array arithmetic (all polymorphic in int vs ndarray) --------
+    # -- arithmetic: one elementwise array path; an int is a 0-d array ------
 
     def add(self, a, b):
         if self.m == 1:
@@ -115,9 +120,7 @@ class FieldCtx:
         return self._digitwise(a, b, sub=True)
 
     def neg(self, a):
-        if self.m == 1:
-            return (-a) % self.p
-        return self._digitwise(0 if np.isscalar(a) else np.zeros_like(a), a, sub=True)
+        return self.sub(0, a)
 
     def _digitwise(self, a, b, sub: bool):
         p = self.p
@@ -136,64 +139,40 @@ class FieldCtx:
     def mul(self, a, b):
         if self.m == 1:
             return (a * b) % self.p
-        if np.isscalar(a) and np.isscalar(b):
-            if a == 0 or b == 0:
-                return 0
-            return int(self._exp[self._log[a] + self._log[b]])
         a, b = np.asarray(a), np.asarray(b)
-        out = self._exp[self._log[a] + self._log[b]]
-        return np.where((a == 0) | (b == 0), 0, out)
+        return np.where((a == 0) | (b == 0), 0, self._exp[self._log[a] + self._log[b]])[()]
 
     def inv(self, a):
-        if np.isscalar(a):
-            if a == 0:
-                raise ZeroElement("zero has no inverse")
-            if self.m == 1:
-                return pow(int(a), self.p - 2, self.p)
-            return int(self._exp[(self.q - 1) - self._log[a]])
         a = np.asarray(a)
-        if np.any(a == 0):
+        if not a.all():
             raise ZeroElement("zero has no inverse")
-        if self.m == 1:
-            if self._inv_table is not None:
-                return self._inv_table[a]
-            return self.pow(a, self.p - 2)
-        return self._exp[(self.q - 1) - self._log[a]]
+        if self.m > 1:
+            return self._exp[(self.q - 1) - self._log[a]]
+        if self._inv_table is not None:
+            return self._inv_table[a]
+        return self.pow(a, self.p - 2)
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
 
     def pow(self, a, e: int):
-        if np.isscalar(a):
-            if self.m == 1:
-                return pow(int(a), int(e), self.p) if e >= 0 else self.inv(pow(int(a), -int(e), self.p))
-            if a == 0:
-                return 0 if e > 0 else 1
-            le = (self._log[a] * e) % (self.q - 1)
-            return int(self._exp[le])
-        a = np.asarray(a)
-        e = int(e)
+        a, e = np.asarray(a), int(e)
         if e < 0:
             return self.pow(self.inv(a), -e)
         out = np.ones_like(a)
-        base = a.copy()
         while e:
             if e & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
+                out = self.mul(out, a)
+            a = self.mul(a, a)
             e >>= 1
-        return out
+        return out[()]
 
-    def dot(self, u: np.ndarray, v: np.ndarray) -> int:
-        """Standard dot product of two vectors."""
-        return int(matmul(self, u, v))
-
-    def trace(self, a: int) -> int:
-        """Trace to the prime subfield: a + a^p + ... + a^(p^(m-1))."""
-        out, cur = 0, int(a)
+    def trace(self, a):
+        """Trace to the prime subfield, elementwise: a + a^p + ... + a^(p^(m-1))."""
+        out = 0
         for _ in range(self.m):
-            out = self.add(out, cur)
-            cur = self.pow(cur, self.p)
+            out = self.add(out, a)
+            a = self.pow(a, self.p)
         return out
 
     # -- structure -----------------------------------------------------------
@@ -328,25 +307,24 @@ def field_from_order(q: int) -> FieldCtx:
     return field_new(q, 1)
 
 
+def coset_stride(q: int, r: int) -> int:
+    """(q-1)/r: the exponent step between consecutive r-th roots of unity,
+    so also the position stride inside a coset of Omega_r."""
+    if r < 1 or (q - 1) % r != 0:
+        raise NotADivisor(f"r={r} does not divide q-1={q - 1}")
+    return (q - 1) // r
+
+
 def root_of_unity(ctx: FieldCtx, r: int) -> int:
     """The canonical primitive r-th root of unity omega^((q-1)/r)."""
-    n = ctx.q - 1
-    if r < 1 or n % r != 0:
-        raise NotADivisor(f"r={r} does not divide q-1={n}")
-    return ctx.pow(ctx.omega, n // r)
+    return ctx.units()[coset_stride(ctx.q, r) % (ctx.q - 1)]
 
 
 def coset(ctx: FieldCtx, r: int, x: int) -> frozenset[int]:
     """The multiplicative coset x*Omega_r of the r-th roots of unity."""
     if x == 0:
         raise ZeroElement("cosets of Omega_r live in the multiplicative group")
-    wr = root_of_unity(ctx, r)
-    out = []
-    cur = int(x)
-    for _ in range(r):
-        out.append(cur)
-        cur = ctx.mul(cur, wr)
-    return frozenset(out)
+    return frozenset(ctx.mul(x, ctx.units()[:: coset_stride(ctx.q, r)]).tolist())
 
 
 # -- linear algebra over GF(q) -----------------------------------------------
@@ -371,7 +349,7 @@ def rref(ctx: FieldCtx, mat: np.ndarray) -> tuple[np.ndarray, list[int]]:
         i = r + int(nz[0])
         if i != r:
             a[[r, i]] = a[[i, r]]
-        a[r, c:] = ctx.mul(a[r, c:], ctx.inv(int(a[r, c])))
+        a[r, c:] = ctx.mul(a[r, c:], ctx.inv(a[r, c]))
         col = a[:, c].copy()
         col[r] = 0
         mask = col != 0

@@ -21,11 +21,14 @@ it is returned, so the output is exact, never a superset):
   it is within e blocks: a message within e blocks is within s*e symbols,
   where there is at most one.
 
-The bivariate steps are field linear algebra: the root search evaluates a
-univariate polynomial at every unit with ``evaluate_values``, the Y-shift of
-Roth-Ruckenstein is one ``gf.matmul`` against a binomial-power matrix, and
-the folded decoder builds its interpolation matrix with a ``powers`` gather
-and its system on f with one ``gf.matmul`` against ``powers``.
+The bivariate steps are field linear algebra. The Guruswami-Sudan matrix
+of Hasse-derivative constraints is one broadcast product of a binomial
+table, a ``powers`` gather of x^k and a stack of y^k, and its nullspace
+gives Q. The root search evaluates a univariate polynomial at every unit
+with ``evaluate_values``, the Y-shift of Roth-Ruckenstein is one
+``gf.matmul`` against a binomial-power matrix, and the folded decoder
+builds its interpolation matrix with a ``powers`` gather and its system on
+f with one ``gf.matmul`` against ``powers``.
 """
 
 from __future__ import annotations
@@ -266,53 +269,30 @@ def rs_unique_decode(ctx: FieldCtx, ell: int, received: np.ndarray,
     return out
 
 
-def _binom_field(ctx: FieldCtx, a: int, b: int) -> int:
-    return math.comb(a, b) % ctx.p
+def _binom_table(ctx: FieldCtx, rows: int, cols: int) -> np.ndarray:
+    """C(a, b) mod p for a < rows, b < cols; zero where b > a."""
+    return np.array([[math.comb(a, b) % ctx.p for b in range(cols)] for a in range(rows)],
+                    dtype=np.int64)
 
 
 def _guruswami_sudan(ctx: FieldCtx, ell: int, received: np.ndarray, e: int,
                      m_cap: int) -> list[np.ndarray]:
-    n = ctx.q - 1
     m, d = gs_multiplicity(ctx.q, ell, e, m_cap)
     wy = max(ell - 1, 1)
-    monomials = [(a, b) for b in range(d // wy + 1) for a in range(d - wy * b + 1)]
-    col = {mono: i for i, mono in enumerate(monomials)}
-    xs = ctx.units()
-
-    n_rows = n * m * (m + 1) // 2
-    mat = np.zeros((n_rows, len(monomials)), dtype=np.int64)
-    row = 0
-    # Hasse-derivative constraints: coefficient of X^da Y^db in Q(X+x, Y+y)
-    for pt in range(n):
-        x, y = int(xs[pt]), int(received[pt])
-        xpow = [1]
-        ypow = [1]
-        for _ in range(d):
-            xpow.append(ctx.mul(xpow[-1], x))
-        max_b = d // wy
-        for _ in range(max_b):
-            ypow.append(ctx.mul(ypow[-1], y))
-        for da in range(m):
-            for db in range(m - da):
-                r = mat[row]
-                for (a, b), ci in col.items():
-                    if a < da or b < db:
-                        continue
-                    c = ctx.mul(_binom_field(ctx, a, da), _binom_field(ctx, b, db))
-                    c = ctx.mul(c, ctx.mul(xpow[a - da], ypow[b - db]))
-                    r[ci] = c
-                row += 1
-    ker = nullspace(ctx, mat)
-    assert ker.shape[0] > 0  # guaranteed by the monomial count
-    qcoef = None
-    for v in ker:
-        if np.any(v):
-            qcoef = v
-            break
     deg_y = d // wy
+    a, b = np.array([(a, b) for b in range(deg_y + 1) for a in range(d - wy * b + 1)]).T
+    da, db = np.array([(da, db) for da in range(m) for db in range(m - da)]).T[:, :, None]
+    # Hasse-derivative constraints, one row per (point, da, db): the coefficient
+    # of X^da Y^db in Q(X+x, Y+y) is sum C(a,da) C(b,db) x^(a-da) y^(b-db) Q_ab.
+    # Exponents below zero are clamped: the zero binomials clear those entries.
+    binom = _binom_table(ctx, d + 1, m)
+    xs = powers(ctx, np.arange(d + 1)).T[:, np.maximum(a - da, 0)]
+    ys = np.stack([ctx.pow(received, k) for k in range(deg_y + 1)], axis=1)[:, np.maximum(b - db, 0)]
+    mat = ctx.mul(ctx.mul(binom[a, da], binom[b, db]), ctx.mul(xs, ys))
+    ker = nullspace(ctx, mat.reshape(-1, len(a)))
+    assert ker.shape[0] > 0  # guaranteed by the monomial count; every row is nonzero
     q_poly = np.zeros((d + 1, deg_y + 1), dtype=np.int64)
-    for (a, b), ci in col.items():
-        q_poly[a, b] = qcoef[ci]
+    q_poly[a, b] = ker[0]
     return _roth_ruckenstein(ctx, q_poly, ell)
 
 
@@ -338,8 +318,7 @@ def _shift_y(ctx: FieldCtx, q: np.ndarray, gamma: int) -> np.ndarray:
     """
     dx, dy = q.shape[0] - 1, q.shape[1] - 1
     j, t = np.arange(dy + 1)[:, None], np.arange(dy + 1)[None, :]
-    binom = np.array([[_binom_field(ctx, a, b) for b in range(dy + 1)] for a in range(dy + 1)])
-    m = ctx.mul(binom, element_powers(ctx, gamma, dy + 1)[(j - t) % (dy + 1)])  # 0 for t > j
+    m = ctx.mul(_binom_table(ctx, dy + 1, dy + 1), element_powers(ctx, gamma, dy + 1)[(j - t) % (dy + 1)])  # 0 for t > j
     out = np.zeros((dx + dy + 1, dy + 1), dtype=np.int64)
     out[np.arange(dx + 1)[:, None] + t, t] = matmul(ctx, q, m)
     return out

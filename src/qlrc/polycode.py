@@ -34,10 +34,9 @@ from .errors import (
     DegreeOverflow,
     DegreeTooSmall,
     FoldMismatch,
-    NotADivisor,
     ZeroShift,
 )
-from .gf import FieldCtx, matmul
+from .gf import FieldCtx, coset_stride, matmul
 
 
 def _check_tb_params(q: int, r: int, ell: int) -> None:
@@ -201,12 +200,6 @@ def mod_reduce(f: DensePoly, r: int, c: int) -> DensePoly:
 
 
 # -- positional structure -------------------------------------------------------
-
-def coset_stride(q: int, r: int) -> int:
-    if (q - 1) % r != 0:
-        raise NotADivisor(f"r={r} must divide q-1={q - 1}")
-    return (q - 1) // r
-
 
 def coset_index_groups(q: int, r: int) -> np.ndarray:
     """Array of shape ((q-1)/r, r): row g lists the positions of coset g.

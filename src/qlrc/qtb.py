@@ -32,14 +32,8 @@ from .errors import (
     FoldNotDividing,
     SiblingErased,
 )
-from .gf import FieldCtx, _is_prime, field_from_order, matmul
-from .polycode import (
-    coset_index_groups,
-    coset_stride,
-    support_piecewise,
-    support_qtb,
-    support_qtb_dual,
-)
+from .gf import FieldCtx, _is_prime, coset_stride, field_from_order, matmul
+from .polycode import coset_index_groups, support_piecewise, support_qtb
 
 
 def qtb_dim(q: int, r: int, ell: int) -> int:

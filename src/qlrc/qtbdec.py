@@ -28,14 +28,14 @@ import numpy as np
 from .bounds import decode_radius_qtb, fqtb_distance_lower, frs_e_prime_for_radius
 from .css import PauliError, css_decode, is_logical_identity, residual_after_correction, syndrome
 from .errors import DecodeContractViolation, DecodingFailed
-from .gf import FieldCtx, root_of_unity
+from .gf import FieldCtx, coset_stride
 from .listdec import (
     best_feasible_radius_rs,
     frs_achieved_radius,
     list_decode_frs,
     list_decode_rs,
 )
-from .polycode import coset_stride, evaluate_values
+from .polycode import evaluate_values
 from .qtb import FqtbCode, QtbCode
 
 DEC_MULTIPLICITY_CAP = 2  # interpolation multiplicity budget inside the decoder
@@ -88,10 +88,9 @@ def dist_to_piecewise_folded(ctx: FieldCtx, blocks: np.ndarray, r: int,
 
 def _shift_difference(ctx: FieldCtx, values: np.ndarray, r: int, i: int) -> np.ndarray:
     """w_r^-i * a(w_r^i x) - a(x), as an array in position order."""
-    stride = coset_stride(ctx.q, r)
-    wr_inv = ctx.pow(root_of_unity(ctx, r), -i)
-    rolled = np.roll(values, -i * stride)
-    return ctx.sub(ctx.mul(wr_inv, rolled), values)
+    shift = i * coset_stride(ctx.q, r)
+    wr_inv = ctx.units()[-shift % (ctx.q - 1)]
+    return ctx.sub(ctx.mul(wr_inv, np.roll(values, -shift)), values)
 
 
 def _map_back(ctx: FieldCtx, coeffs: np.ndarray, r: int, i: int) -> np.ndarray | None:

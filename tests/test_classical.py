@@ -29,7 +29,7 @@ from qlrc.errors import (
     NotASubcode,
     ZeroPivot,
 )
-from qlrc.gf import field_from_order, field_new, matmul, rank
+from qlrc.gf import field_from_order, field_new, matmul, rank, rref
 from qlrc.polycode import (
     DensePoly,
     coset_index_groups,
@@ -96,6 +96,33 @@ def _random_rows(ctx, rng, rows, cols):
         m = rng.integers(0, ctx.q, size=(rows, cols))
         if rank(ctx, m) == rows:
             return m
+
+
+def _greedy_quotient_representatives(ctx, basis, sub_basis):
+    """Oracle: one rank per candidate row on a growing stack."""
+    stacked, out = list(sub_basis), []
+    for row in basis:
+        if rank(ctx, np.vstack(stacked + [row])) == len(stacked) + 1:
+            stacked.append(row)
+            out.append(row)
+    return np.asarray(out, dtype=np.int64).reshape(-1, basis.shape[1])
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 8, 9, 13])
+def test_quotient_representatives_match_the_greedy_rank_loop(q):
+    ctx = field_from_order(q)
+    rng = np.random.default_rng(q)
+    for _ in range(60):
+        k, n = int(rng.integers(1, 6)), int(rng.integers(3, 9))
+        gen = rng.integers(0, q, size=(k, n))
+        # more rows than the span's dimension, plus a repeated row: dependent rows
+        basis = matmul(ctx, rng.integers(0, q, size=(int(rng.integers(1, 8)), k)), gen)
+        basis = np.vstack([basis, basis[:1]])
+        # independent sub rows from the span of gen, inside span(basis) or not
+        sub, pivots = rref(ctx, matmul(ctx, rng.integers(0, q, size=(int(rng.integers(0, 4)), k)), gen))
+        sub = sub[: len(pivots)]
+        got = quotient_representatives(ctx, basis, sub)
+        assert np.array_equal(got, _greedy_quotient_representatives(ctx, basis, sub))
 
 
 @pytest.mark.parametrize("q", [7, 8, 9, 13])

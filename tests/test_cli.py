@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from qlrc.cli import main
@@ -172,14 +173,15 @@ def test_ael_simulate_rejects_every_model_but_mixed(capsys, model):
     assert model in err
 
 
-@pytest.mark.parametrize("flags,decoder,inner_tables", [
-    (("--family", "ael", "--seed", "90"), "ael_quantum_decode", 2),
-    (("--family", "qtb", "--q", "127", "--r", "3", "--ell", "80"), "quantum_decode", 0),
+# qTB codes are CSS(C, C): one syndrome solver serves both sides
+@pytest.mark.parametrize("flags,decoder,inner_tables,solvers", [
+    (("--family", "ael", "--seed", "90"), "ael_quantum_decode", 2, 2),
+    (("--family", "qtb", "--q", "127", "--r", "3", "--ell", "80"), "quantum_decode", 0, 1),
     (("--family", "fqtb", "--q", "127", "--r", "3", "--ell", "64", "--s", "2"),
-     "quantum_decode", 0),
+     "quantum_decode", 0, 1),
 ], ids=["ael", "qtb", "fqtb"])
 def test_simulate_builds_decode_tables_before_the_timed_decodes(capsys, monkeypatch, flags,
-                                                               decoder, inner_tables):
+                                                               decoder, inner_tables, solvers):
     from qlrc import cli, ensembles, gf
 
     timed = []  # non-empty while a timed decode or its residual check runs
@@ -215,7 +217,24 @@ def test_simulate_builds_decode_tables_before_the_timed_decodes(capsys, monkeypa
     assert json.loads(out)["successes"] == 2
     assert not any(during for _, during in built)
     assert [name for name, _ in built].count("_InnerDecoder") == inner_tables
-    assert [name for name, _ in built].count("Solver") == 2
+    assert [name for name, _ in built].count("Solver") == solvers
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--family", "ael", "--seed", "90", "--trials", "1"),
+    ("ensemble", "--kind", "ael", "--seed", "90", "--trials", "1"),
+], ids=["simulate", "ensemble"])
+def test_ael_non_identity_residual_within_radius_exits_4(capsys, monkeypatch, argv):
+    from qlrc import cli, css
+
+    def leave_the_error(std, err):  # a decoder that corrects nothing
+        zero = np.zeros_like(err.bx)
+        return css.PauliError(zero, zero), err
+
+    monkeypatch.setattr(cli, "ael_quantum_decode", leave_the_error)
+    code, _, err = run(capsys, *argv)
+    assert code == 4, err
+    assert "residual" in err
 
 
 @pytest.mark.parametrize("flags,key,value", [

@@ -20,7 +20,7 @@ from qlrc.css import (
     syndrome,
 )
 from qlrc.errors import NoCoveringCheck, OrthogonalityViolation
-from qlrc.gf import field_new
+from qlrc.gf import field_new, matmul
 from qlrc.polycode import support_qtb
 
 F7 = field_new(7)
@@ -44,7 +44,7 @@ def test_css_new_violation_with_witness():
     with pytest.raises(OrthogonalityViolation) as exc:
         css_new(rs_code(F13, 4), rs_code(F13, 4))
     u, v = exc.value.witness
-    assert F13.dot(u, v) != 0
+    assert matmul(F13, u, v) != 0
 
 
 def test_css_distance_brute_714():

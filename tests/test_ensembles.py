@@ -35,14 +35,14 @@ from qlrc.ensembles import (
     stream_rng,
 )
 from qlrc.errors import FoldingMismatch, SiblingErased, ValidationError
-from qlrc.gf import field_new
+from qlrc.gf import field_new, matmul
 
 
 def test_initial_pattern_orthogonality():
     # X block (1,...,1) against Z block (-(r-1),1,...,1): -(r-1)+(r-1) = 0
     code = random_qlrc(12, 3, 1, 5, seed=0)
     f5 = field_new(5)
-    assert f5.dot(code.hx[0], code.hz[0]) == 0
+    assert matmul(f5, code.hx[0], code.hz[0]) == 0
     assert code.hz[0][:3].tolist() == [(-(3 - 1)) % 5, 1, 1]
 
 
@@ -188,7 +188,7 @@ def test_logical_pair_duality():
     k = inner.k
     for i in range(k):
         for j in range(k):
-            assert ctx.dot(pair.lx[i], pair.lz[j]) == (1 if i == j else 0)
+            assert matmul(ctx, pair.lx[i], pair.lz[j]) == (1 if i == j else 0)
 
 
 @pytest.fixture(scope="module")

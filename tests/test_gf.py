@@ -331,7 +331,7 @@ def test_matmul_matches_scalar_oracle_for_every_shape(p, m):
     top = np.full((3, 3), ctx.q - 1)  # largest partial sums the accumulator meets
     assert np.array_equal(matmul(ctx, top, top), _matmul_oracle(ctx, top, top))
     u, v = rng.integers(0, ctx.q, size=(2, 6))
-    assert ctx.dot(u, v) == int(_matmul_oracle(ctx, u, v))
+    assert matmul(ctx, u, v) == int(_matmul_oracle(ctx, u, v))
 
 
 @pytest.mark.parametrize("p,m", MATMUL_FIELDS)

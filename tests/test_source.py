@@ -1,0 +1,42 @@
+"""Source hygiene of the ``qlrc`` package, checked with the standard library."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "qlrc"
+
+
+def _annotations(tree: ast.Module):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            yield node.returns
+            yield from (a.annotation for a in args.posonlyargs + args.args + args.kwonlyargs
+                        + [args.vararg, args.kwarg] if a is not None)
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    """Names bound by an import anywhere in the module and never read in it."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for ann in _annotations(tree):  # a string annotation such as -> "PauliError"
+        if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+            used |= {n.id for n in ast.walk(ast.parse(ann.value, mode="eval"))
+                     if isinstance(n, ast.Name)}
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    assert _unused_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
