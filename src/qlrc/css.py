@@ -202,8 +202,10 @@ def css_distance_brute(code: CssCode, cap: int = DEFAULT_CAP,
     """Exact CSS distance with a witness word and the side it came from.
 
     Enumerates q^dim(C_Z) + q^dim(C_X) words (once when C_X = C_Z); with
-    ``fold_s`` the distance counts nonzero blocks.
+    ``fold_s`` the distance counts nonzero blocks. Raises ValidationError for k = 0.
     """
+    if code.k == 0:
+        raise ValidationError("the code encodes no qudits (k = 0), so it has no distance")
     sub_x_dual = LinearCode(code.ctx, code.hx)
     d_z, wit_z = min_weight_excluding(code.cz, sub_x_dual, cap=cap, fold_s=fold_s)
     if code.symmetric:

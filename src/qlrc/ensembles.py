@@ -647,8 +647,8 @@ def rs_decode_errors_erasures(ctx: FieldCtx, ell: int, values: np.ndarray,
                               erased: np.ndarray) -> np.ndarray:
     """Unique-decode an RS word with erasures: 2E + F <= n - ell.
 
-    Gao's decoder (``listdec.rs_unique_decode``) on the unerased evaluation
-    points; raises DecodingFailed when no codeword sits within the radius.
+    The syndrome decoder ``listdec.rs_unique_decode`` with the erasure
+    locator; raises DecodingFailed when no codeword sits within the radius.
     """
     erased = np.asarray(erased, dtype=bool)
     coeffs = rs_unique_decode(ctx, ell, values, erased)

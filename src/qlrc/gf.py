@@ -59,21 +59,6 @@ from .errors import NonPrimeCharacteristic, NotADivisor, Overflow, ZeroElement
 _EXT_TABLE_CAP = 1 << 22  # exp/log tables for extension fields
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
-
-
 def _factorize(n: int) -> list[int]:
     """Distinct prime factors of n by trial division."""
     out = []
@@ -87,6 +72,10 @@ def _factorize(n: int) -> list[int]:
     if n > 1:
         out.append(n)
     return out
+
+
+def _is_prime(n: int) -> bool:
+    return _factorize(n) == [n]
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,10 +185,10 @@ class FieldCtx:
         return {"p": self.p, "m": self.m, "modulus": list(self.modulus), "omega": self.omega}
 
     def __eq__(self, other):
-        return isinstance(other, FieldCtx) and (self.p, self.m, self.modulus) == (other.p, other.m, other.modulus)
+        return isinstance(other, FieldCtx) and self.descriptor() == other.descriptor()
 
     def __hash__(self):
-        return hash((self.p, self.m, self.modulus))
+        return hash((self.p, self.m, self.modulus, self.omega))
 
     def __repr__(self):
         return f"GF({self.q})" if self.m == 1 else f"GF({self.p}^{self.m})"

@@ -4,10 +4,10 @@ Three engines, all returning the complete list of message polynomials
 within the requested radius (every candidate is distance-filtered before
 it is returned, so the output is exact, never a superset):
 
-* Gao's decoder (S. Gao, "A new algorithm for decoding Reed-Solomon
-  codes", 2003) for radii up to the unique-decoding bound, with erasures.
-  At those radii Hamming balls are disjoint, so the one candidate it finds
-  is the whole list.
+* the syndrome decoder, with erasures, for radii up to the unique-decoding
+  bound: Berlekamp-Massey on the power sums of the error (J. Massey, 1969),
+  Chien search and Forney's error values (G. D. Forney, 1965). At those
+  radii Hamming balls are disjoint, so its one candidate is the whole list.
 * Guruswami-Sudan bivariate interpolation with multiplicities, up to the
   Johnson radius (q-1)(1 - sqrt(ell/(q-1))). The multiplicity needed
   grows without bound as the radius approaches Johnson; calls that would
@@ -17,9 +17,9 @@ it is returned, so the output is exact, never a superset):
   message must satisfy. Its guaranteed radius depends on the chosen v and
   is reported by ``frs_achieved_radius`` rather than asserted from
   asymptotic constants. When s*e <= (n-ell)//2 (every v = 1 choice is such
-  a radius) the folded list is Gao's answer on the unfolded word, kept if
-  it is within e blocks: a message within e blocks is within s*e symbols,
-  where there is at most one.
+  a radius) the folded list is the unique decoder's answer on the unfolded
+  word, kept if it is within e blocks: a message within e blocks is within
+  s*e symbols, where there is at most one.
 
 The bivariate steps are field linear algebra. The Guruswami-Sudan matrix
 of Hasse-derivative constraints is one broadcast product of a binomial
@@ -34,15 +34,16 @@ f with one ``gf.matmul`` against ``powers``.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
 from .classical import FoldedCode, LinearCode, block_weight, iter_codeword_chunks
 from .errors import CapExceeded, RadiusTooLarge, ValidationError
 from .gf import FieldCtx, matmul, nullspace, solve_right
-from .polycode import element_powers, evaluate_values, powers
+from .polycode import element_powers, eval_table, evaluate_values, powers
 
 GS_MULTIPLICITY_CAP = 8
 FRS_SHIFT_CAP = 3  # interpolation variables; solution space has dim < v
@@ -84,6 +85,7 @@ def gs_multiplicity(q: int, ell: int, e: int, m_cap: int = GS_MULTIPLICITY_CAP) 
         assert m <= 4 * n  # the Johnson precondition guarantees termination
 
 
+@lru_cache(maxsize=None)
 def best_feasible_radius_rs(q: int, ell: int, m_cap: int) -> int:
     """Largest radius decodable without exceeding the multiplicity cap."""
     for e in range(johnson_radius_rs(q, ell), -1, -1):
@@ -93,10 +95,6 @@ def best_feasible_radius_rs(q: int, ell: int, m_cap: int) -> int:
         except CapExceeded:
             continue
     return 0
-
-
-def _distance(a: np.ndarray, b: np.ndarray) -> int:
-    return int(np.count_nonzero(np.asarray(a) != np.asarray(b)))
 
 
 def _dedupe_sorted(cands: list[np.ndarray]) -> list[np.ndarray]:
@@ -111,7 +109,7 @@ def list_decode_rs(ctx: FieldCtx, ell: int, received: np.ndarray, e: int,
     """All message polynomials of degree < ell within distance e of received.
 
     Returns fixed-length coefficient arrays, sorted. Radii up to
-    (n-ell)//2 go through Gao's unique decoder; larger ones through
+    (n-ell)//2 go through the unique decoder; larger ones through
     Guruswami-Sudan at the minimal sufficient multiplicity.
     """
     n = ctx.q - 1
@@ -131,8 +129,8 @@ def list_decode_rs(ctx: FieldCtx, ell: int, received: np.ndarray, e: int,
         cands = [] if f is None else [f]
     else:
         cands = _guruswami_sudan(ctx, ell, received, e, m_cap)
-    out = [c for c in cands if _distance(evaluate_values(ctx, c), received) <= e]
-    out = _dedupe_sorted(out)
+    out = _dedupe_sorted([c for c in cands
+                          if np.count_nonzero(evaluate_values(ctx, c) != received) <= e])
     assert all(len(c) == ell for c in out)
     return out
 
@@ -149,10 +147,13 @@ class _PrimeOps:
     def inv(self, a: int) -> int:
         return pow(a, self.p - 2, self.p)
 
-    def sub_scaled(self, acc: list[int], c: int, b: list[int], shift: int) -> None:
-        """acc[shift + j] -= c * b[j], in place."""
-        p, end = self.p, shift + len(b)
-        acc[shift:end] = [(a - c * bj) % p for a, bj in zip(acc[shift:end], b)]
+    def dot(self, a: list[int], b: list[int]) -> int:
+        return sum(map(operator.mul, a, b)) % self.p
+
+    def sub_scaled(self, a: list[int], c: int, b: list[int], shift: int) -> list[int]:
+        """a - c * z^shift * b, cut to the length of a."""
+        end = shift + len(b)
+        return a[:shift] + [(x - c * y) % self.p for x, y in zip(a[shift:end], b)] + a[end:]
 
 
 class _ExtOps:
@@ -164,7 +165,7 @@ class _ExtOps:
         self.exp = ctx._exp.tolist()  # length 2n, so log sums need no reduction
         self.log = ctx._log.tolist()
         self.zech = [self.log[v] if v else -1 for v in ctx.add(1, ctx.units()).tolist()]
-        self.log_neg1 = self.n // 2 if ctx.p != 2 else 0  # -1 = omega^(n/2)
+        self.minus_one = int(ctx.neg(1))
 
     def add(self, a: int, b: int) -> int:
         if not a or not b:
@@ -179,15 +180,13 @@ class _ExtOps:
     def inv(self, a: int) -> int:
         return self.exp[self.n - self.log[a]]
 
-    def sub_scaled(self, acc: list[int], c: int, b: list[int], shift: int) -> None:
-        """acc[shift + j] -= c * b[j], in place."""
-        if not c:
-            return
-        exp, log, add = self.exp, self.log, self.add
-        lc = (log[c] + self.log_neg1) % self.n
-        for j, bj in enumerate(b, shift):
-            if bj:
-                acc[j] = add(acc[j], exp[lc + log[bj]])
+    def dot(self, a: list[int], b: list[int]) -> int:
+        return reduce(self.add, map(self.mul, a, b), 0)
+
+    def sub_scaled(self, a: list[int], c: int, b: list[int], shift: int) -> list[int]:
+        """a - c * z^shift * b, cut to the length of a."""
+        c, end = self.mul(c, self.minus_one), shift + len(b)
+        return a[:shift] + [self.add(x, self.mul(c, y)) for x, y in zip(a[shift:end], b)] + a[end:]
 
 
 @lru_cache(maxsize=8)
@@ -202,71 +201,74 @@ def _idft_matrix(ctx: FieldCtx) -> np.ndarray:
     return ctx.neg(powers(ctx, -np.arange(ctx.q - 1)))
 
 
-def _trim(a: list[int]) -> list[int]:
-    while a and not a[-1]:
-        a.pop()
-    return a
+def _berlekamp_massey(ops: _PrimeOps | _ExtOps, syn: list[int], gamma: list[int],
+                      t: int) -> tuple[list[int], int]:
+    """Psi = Lambda * Gamma and deg Lambda from the power sums syn[:rho + 2t].
 
-
-def _poly_divmod(ops: _PrimeOps | _ExtOps, num: list[int],
-                 den: list[int]) -> tuple[list[int], list[int]]:
-    """Quotient and remainder of coefficient lists (constant term first);
-    ``den`` is trimmed and nonzero."""
-    rem = _trim(list(num))
-    dd = len(den) - 1
-    if len(rem) <= dd:
-        return [], rem
-    inv_lead = ops.inv(den[-1])
-    quot = [0] * (len(rem) - dd)
-    for i in range(len(quot) - 1, -1, -1):
-        c = ops.mul(rem[i + dd], inv_lead)
-        if c:
-            quot[i] = c
-            ops.sub_scaled(rem, c, den, i)
-    return quot, _trim(rem[:dd])
+    Massey's shift-register synthesis started from the erasure locator Gamma
+    of degree rho: the discrepancy at step k is coefficient rho + k of
+    Psi * S, so this is the run on the Forney syndromes Gamma * S.
+    """
+    rho = len(gamma) - 1
+    psi = gamma + [0] * (2 * t)  # deg Psi <= rho + deg Lambda <= rho + 2t
+    prev, errs, shift, scale = gamma, 0, 0, 1  # lists cut to their degree bound
+    rsyn, top = syn[::-1], len(syn) - 1 - rho
+    for k in range(2 * t):
+        shift += 1
+        d = ops.dot(psi[: rho + errs + 1], rsyn[top - k:])  # sum_j Psi_j S_(rho + k - j)
+        if d:
+            new = ops.sub_scaled(psi, ops.mul(d, scale), prev, shift)
+            if 2 * errs <= k:
+                prev, errs, shift, scale = psi[: rho + errs + 1], k + 1 - errs, 0, ops.inv(d)
+            psi = new
+    return psi[: rho + errs + 1], errs
 
 
 def rs_unique_decode(ctx: FieldCtx, ell: int, received: np.ndarray,
                      erased: np.ndarray | None = None) -> np.ndarray | None:
-    """Gao's errors-and-erasures decoder for RS(q, ell) on GF(q)*.
+    """Errors-and-erasures syndrome decoder for RS(q, ell) on GF(q)*.
 
-    Returns the length-ell message of the codeword within (N - ell)//2
+    Returns the length-ell message of the codeword within t = (N - ell)//2
     errors of ``received`` on its N unerased positions (there is at most
-    one), or None when there is none or N < ell. Interpolate g1 through the
-    unerased points, take g0 = (x^n - 1) / erasure locator, run the
-    extended Euclidean algorithm on (g0, g1) until the remainder g has
-    degree < (N + ell)/2, and divide g by the multiplier v of g1. Since
-    g = u*g0 + v*g1, the quotient agrees with received wherever v does not
-    vanish, so it is within deg v <= (N - ell)/2 errors.
+    one), or None when there is none or N < ell. The interpolant c of
+    ``received`` has c[ell + k] = S_k = sum_i Y_i X_i^k over the error and
+    erasure positions i, X_i = omega^-i and Y_i = -e_i X_i^ell. BM on
+    rho + 2t of them gives Psi, whose zeros omega^i are the positions;
+    Forney's formula gives e_i = omega^(i(ell-1)) Omega(omega^i)/Psi'(omega^i),
+    Omega = S * Psi mod z^deg(Psi) (BM leaves no higher terms below rho + 2t).
+    The answer is c minus the interpolant of e, if that has degree < ell.
     """
     n = ctx.q - 1
-    ops = _scalar_ops(ctx)
-    g0 = [ctx.p - 1] + [0] * (n - 1) + [1]  # x^n - 1; p - 1 encodes -1
-    g1 = _trim(matmul(ctx, _idft_matrix(ctx), received).tolist())
-    n_avail = n
-    if erased is not None and np.any(erased):
-        locator = [1]
-        for x in ctx.units()[erased].tolist():
-            locator = [0] + locator
-            ops.sub_scaled(locator, x, locator[1:], 0)
-        g0, _ = _poly_divmod(ops, g0, locator)
-        g1 = _poly_divmod(ops, g1, g0)[1]
-        n_avail -= len(locator) - 1
-    if n_avail < ell:
+    where = [] if erased is None else np.flatnonzero(erased).tolist()
+    rho = len(where)
+    if n - rho < ell:
         return None
-    v0, v1 = [], [1]
-    while 2 * (len(g1) - 1) >= n_avail + ell:
-        quot, rem = _poly_divmod(ops, g0, g1)
-        v2 = v0 + [0] * (len(quot) + len(v1) - 1 - len(v0))
-        for i, c in enumerate(quot):
-            ops.sub_scaled(v2, c, v1, i)
-        g0, g1, v0, v1 = g1, rem, v1, _trim(v2)
-    f, rem = _poly_divmod(ops, g1, v1)
-    if rem or len(f) > ell:
+    idft = _idft_matrix(ctx)
+    c = matmul(ctx, idft, received)
+    syn = c[ell:].tolist()
+    if not any(syn):
+        return c[:ell]
+    ops, t = _scalar_ops(ctx), (n - rho - ell) // 2
+    gamma = [1]
+    for i in where:  # Gamma *= 1 - omega^-i z
+        gamma = ops.sub_scaled(gamma + [0], int(ctx.units()[-i % n]), gamma, 1)
+    psi, errs = _berlekamp_massey(ops, syn, gamma, t)
+    deg = rho + errs
+    if errs > t:
         return None
-    out = np.zeros(ell, dtype=np.int64)
-    out[: len(f)] = f
-    return out
+    omega = [ops.dot(psi, syn[k::-1]) for k in range(deg)] + [0]
+    deriv = [ops.mul(k % ctx.p, psi[k]) for k in range(1, deg + 1)] + [0]
+    psi_at, omega_at, deriv_at = matmul(ctx, [psi, omega, deriv], eval_table(ctx, deg + 1))
+    pos = np.flatnonzero(psi_at == 0)
+    denom = deriv_at[pos].tolist()
+    if len(pos) != deg or 0 in denom:
+        return None
+    e = [ops.mul(ops.mul(x, y), ops.inv(z)) for x, y, z in
+         zip(ctx.units()[pos * (ell - 1) % n].tolist(), omega_at[pos].tolist(), denom)]
+    e_coeffs = matmul(ctx, e, idft[pos])
+    if e_coeffs[ell:].tolist() != syn:
+        return None
+    return ctx.sub(c[:ell], e_coeffs[:ell])
 
 
 def _binom_table(ctx: FieldCtx, rows: int, cols: int) -> np.ndarray:
@@ -388,7 +390,7 @@ def frs_paper_radius(q: int, ell: int, s: int) -> float:
 def list_decode_frs(ctx: FieldCtx, ell: int, s: int, blocks: np.ndarray, e: int) -> list[np.ndarray]:
     """Complete list of degree-<ell messages within e block errors.
 
-    When s*e <= (n-ell)//2, Gao's decoder runs on the unfolded word and its
+    When s*e <= (n-ell)//2, the unique decoder runs on the unfolded word and its
     answer is kept if it is within e blocks. This is exact: a message within
     e blocks is within s*e symbols, and at that radius there is at most one.
     Otherwise interpolates Q(X, Y_1..Y_v) = A_0(X) + sum A_i(X) Y_i over all

@@ -15,7 +15,7 @@ needs for the CSS condition.
 Evaluation is linear algebra: ``powers(ctx, exps)`` gathers the matrix whose
 row a holds x^exps[a] at every position (``units[(exps[a] * j) mod (q-1)]``),
 so an evaluation code's basis is one gather and ``evaluate_values`` is one
-``gf.matmul`` of the coefficients (a vector, or a batch of rows) with it.
+``gf.matmul`` of the coefficients with ``eval_table``, that gather cached.
 ``element_powers`` gathers the powers of a single element the same way, so
 evaluating a ``DensePoly`` at a point and ``mod_reduce`` (the sum of the
 length-r chunks weighted by c^j) are one product each.
@@ -24,6 +24,7 @@ length-r chunks weighted by c^j) are one product each.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -99,9 +100,6 @@ class DensePoly:
     def degree(self) -> int:
         return len(self.coeffs) - 1  # -1 for the zero polynomial
 
-    def is_zero(self) -> bool:
-        return len(self.coeffs) == 0
-
     def __call__(self, x: int) -> int:
         return int(matmul(self.ctx, self.coeffs, element_powers(self.ctx, x, len(self.coeffs))))
 
@@ -157,6 +155,14 @@ def powers(ctx: FieldCtx, exps: Sequence[int] | np.ndarray) -> np.ndarray:
     return ctx.units()[exps[:, None] * np.arange(n) % n]
 
 
+@lru_cache(maxsize=32)
+def eval_table(ctx: FieldCtx, length: int) -> np.ndarray:
+    """``powers(ctx, range(length))``, built once per field and length; read-only."""
+    out = powers(ctx, np.arange(length))
+    out.flags.writeable = False
+    return out
+
+
 def element_powers(ctx: FieldCtx, x: int, k: int) -> np.ndarray:
     """x^0, ..., x^(k-1) for one element x (0^0 = 1), gathered from ``units``."""
     if x == 0:
@@ -175,7 +181,7 @@ def evaluate(f: DensePoly) -> EvalWord:
 def evaluate_values(ctx: FieldCtx, coeffs: np.ndarray) -> np.ndarray:
     """Raw-array variant of evaluate; a 2-D ``coeffs`` evaluates each row."""
     coeffs = np.asarray(coeffs, dtype=np.int64)
-    return matmul(ctx, coeffs, powers(ctx, np.arange(coeffs.shape[-1])))
+    return matmul(ctx, coeffs, eval_table(ctx, coeffs.shape[-1]))
 
 
 def fold(w: EvalWord, s: int) -> FoldedWord:

@@ -62,6 +62,13 @@ def test_distance_cap_exit_3(capsys):
     assert "cap" in err
 
 
+def test_distance_of_a_code_without_qudits_exits_2(capsys):
+    code, out, err = run(capsys, "distance", "--family", "random_qlrc", "--n", "12",
+                         "--r", "3", "--ell", "2", "--q", "5", "--seed", "3")
+    assert (code, out) == (2, "")
+    assert "k = 0" in err
+
+
 def test_simulate_local_model_all_success(capsys):
     code, out, _ = run(capsys, "simulate", "--family", "qtb", "--q", "13",
                        "--r", "3", "--ell", "8", "--model", "local",

@@ -21,6 +21,7 @@ from qlrc.listdec import (
     johnson_radius_rs,
     list_decode_frs,
     list_decode_rs,
+    rs_unique_decode,
 )
 from qlrc.polycode import evaluate_values
 
@@ -175,7 +176,7 @@ def test_frs_radius_too_large():
         list_decode_frs(F13, 2, 2, np.zeros((6, 2), dtype=np.int64), 4)
 
 
-# -- folded dispatch: Gao's decoder when s*e <= (n-ell)//2 ---------------------------
+# -- folded dispatch: the unique decoder when s*e <= (n-ell)//2 ----------------------
 
 def _must_not_run(*args, **kwargs):
     raise AssertionError("the other decoding path ran")
@@ -213,7 +214,7 @@ def test_frs_beyond_unique_radius_interpolates(monkeypatch):
 
 
 def test_frs_unique_path_matches_oracle_exhaustively():
-    # GF(13), ell = 3, s = 2 takes the Gao path at every e <= 2: every block
+    # GF(13), ell = 3, s = 2 takes the unique-decoder path at every e <= 2: every block
     # support of size <= 3 is corrupted on random codewords, then random words
     fc = frs_code(F13, 3, 2)
     rng = np.random.default_rng(22)
@@ -244,7 +245,7 @@ def test_rs_planted_multiplicity_four():
     assert any(np.array_equal(g, coeffs) for g in got)
 
 
-# -- Gao's unique decoder ---------------------------------------------------------
+# -- the syndrome (Berlekamp-Massey) unique decoder ---------------------------------
 
 F25 = field_new(5, 2)
 
@@ -323,18 +324,129 @@ def test_extension_scalar_ops_match_field_exhaustively(p, m):
     for a in range(ctx.q):
         assert [ops.add(a, b) for b in range(ctx.q)] == ctx.add(a, elems).tolist()
         assert [ops.mul(a, b) for b in range(ctx.q)] == ctx.mul(a, elems).tolist()
-        acc = elems.tolist()
-        ops.sub_scaled(acc, a, elems.tolist(), 0)  # acc[b] = b - a*b
+        acc = ops.sub_scaled(elems.tolist(), a, elems.tolist(), 0)  # acc[b] = b - a*b
         assert acc == ctx.sub(elems, ctx.mul(a, elems)).tolist()
+        prods = ctx.mul(a, elems)
+        assert [ops.dot([a, 1], [b, c]) for b, c in zip(elems.tolist(), prods.tolist())] == \
+            ctx.add(prods, prods).tolist()  # a*b + a*b
         if a:
             assert ops.inv(a) == ctx.inv(a)
+
+
+def unique_oracle(ctx, ell, word, erased=None):
+    """The codeword within (N - ell)//2 errors on the N unerased positions, by
+    enumerating RS(q, ell); None when there is none."""
+    keep = np.ones(ctx.q - 1, dtype=bool) if erased is None else ~erased
+    t = (int(keep.sum()) - ell) // 2
+    for words in iter_codeword_chunks(ctx, rs_code(ctx, ell).basis):
+        hit = np.flatnonzero(np.count_nonzero((words != word) & keep, axis=1) <= t)
+        if hit.size:
+            return words[hit[0]]
+    return None
+
+
+def assert_unique_matches_oracle(ctx, ell, word, erased=None):
+    got = rs_unique_decode(ctx, ell, word, erased)
+    want = unique_oracle(ctx, ell, word, erased)
+    if want is None:
+        assert got is None, (word.tolist(), ell)
+    else:
+        assert got is not None and len(got) == ell, (word.tolist(), ell)
+        assert np.array_equal(evaluate_values(ctx, got), want), (word.tolist(), ell)
+    return got
+
+
+@pytest.mark.parametrize("q,ells", [(8, (1, 2, 3)), (9, (2, 3)), (16, (2, 3))])
+def test_unique_decoder_errors_only_matches_oracle(q, ells):
+    # characteristic 2 (GF(8), GF(16)) exercises the formal derivative, which
+    # drops the even terms; an odd n - ell (RS(8,2), RS(9,3), RS(16,2)) leaves
+    # one syndrome outside Berlekamp-Massey, checked only by the final test
+    ctx = field_from_order(q)
+    n = q - 1
+    rng = np.random.default_rng(30)
+    outcomes = set()
+    for ell in ells:
+        for n_err in range((n - ell) // 2 + 4):
+            for _ in range(5):
+                word = planted(ctx, ell, min(n_err, n), 0, rng)[1]
+                outcomes.add(assert_unique_matches_oracle(ctx, ell, word) is None)
+        for _ in range(10):
+            assert_unique_matches_oracle(ctx, ell, rng.integers(0, q, size=n))
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("ell", [1, 3])
+def test_unique_decoder_odd_redundancy_exhaustive(ell):
+    # GF(5) with n - ell odd, on every word of GF(5)^4
+    ctx = field_new(5)
+    for digits in range(5**4):
+        assert_unique_matches_oracle(ctx, ell, np.array([digits // 5**i % 5 for i in range(4)]))
+
+
+def test_unique_decoder_with_no_syndromes():
+    # ell = n: every word is a codeword, and one erasure leaves N < ell
+    rng = np.random.default_rng(31)
+    for ctx in (F13, field_from_order(16)):
+        n = ctx.q - 1
+        w = rng.integers(0, ctx.q, size=n)
+        assert np.array_equal(evaluate_values(ctx, rs_unique_decode(ctx, n, w)), w)
+        erased = np.zeros(n, dtype=bool)
+        erased[3] = True
+        assert rs_unique_decode(ctx, n, w, erased) is None
+
+
+def test_unique_decoder_too_few_unerased_symbols():
+    rng = np.random.default_rng(32)
+    coeffs, word, erased = planted(F13, 5, 0, 8, rng)  # N = 4 < ell = 5
+    assert rs_unique_decode(F13, 5, word, erased) is None
+    i = np.flatnonzero(erased)[0]
+    word[i], erased[i] = evaluate_values(F13, coeffs)[i], False  # N = 5, no errors
+    assert np.array_equal(rs_unique_decode(F13, 5, word, erased), coeffs)
+
+
+@pytest.mark.parametrize("ctx", [F7, F13, F25, field_from_order(16)])
+def test_unique_decoder_all_false_mask_matches_none(ctx):
+    n = ctx.q - 1
+    rng = np.random.default_rng(33)
+    for _ in range(60):
+        ell = int(rng.integers(1, n + 1))
+        w = planted(ctx, ell, min(int(rng.integers(0, (n - ell) // 2 + 3)), n), 0, rng)[1]
+        a = rs_unique_decode(ctx, ell, w)
+        b = rs_unique_decode(ctx, ell, w, np.zeros(n, dtype=bool))
+        assert (a is None and b is None) or np.array_equal(a, b)
+
+
+# sha256 of seeded rs_unique_decode outputs (None included) over prime and
+# extension fields, errors only and with erasures, computed with Gao's
+# partial-Euclid decoder; the syndrome decoder must reproduce it byte for byte
+RS_UNIQUE_SHA256 = "4c7ed4913062a592549b8a06547906125ecb315304575e2a6c89cef197276c36"
+
+
+def test_seeded_unique_decodes_are_pinned():
+    digest = hashlib.sha256()
+    rng = np.random.default_rng(2026)
+    outcomes = {True: 0, False: 0}
+    for q in (7, 13, 16, 25, 127):
+        ctx = field_from_order(q)
+        n = q - 1
+        for ell in sorted({1, 2, n // 3, n // 2 + 1, n - 1}):
+            for t in range(12):
+                n_erase = int(rng.integers(0, n - ell + 2)) if t % 2 else 0
+                n_err = int(rng.integers(0, min((n - n_erase - ell) // 2 + 3, n - n_erase) + 1))
+                _, bad, erased = planted(ctx, ell, n_err, n_erase, rng)
+                f = rs_unique_decode(ctx, ell, bad, erased if t % 2 else None)
+                outcomes[f is None] += 1
+                digest.update(b"None" if f is None else f.tobytes())
+                digest.update(b"|")
+    assert outcomes == {True: 112, False: 176}
+    assert digest.hexdigest() == RS_UNIQUE_SHA256
 
 
 # sha256 of seeded list decodes, computed before the root search, the Y-shift
 # and the folded interpolation were vectorised; they must reproduce it byte for
 # byte. The GS part runs past the unique radius on a prime and two extension
 # fields; the folded part names (q, ell, s, e) and includes the v >= 2 sets,
-# where list_decode_frs interpolates instead of calling Gao's decoder.
+# where list_decode_frs interpolates instead of calling the unique decoder.
 LIST_DECODE_SHA256 = "02bc83dc73f25fb4c16af2c094dc46fda564cb1333d6b45029f42d7131fa7e0c"
 FOLDED_SETS = ((13, 2, 2, 3), (16, 3, 3, 2), (25, 4, 2, 5),
                (16, 4, 3, 2), (25, 4, 4, 3), (25, 2, 3, 5))
