@@ -34,7 +34,7 @@ from .errors import (
     NotASubcode,
     ZeroPivot,
 )
-from .gf import FieldCtx, RowSpace, Solver, matmul, nullspace, rank, rref, solve_right
+from .gf import FieldCtx, RowSpace, Solver, frozen, matmul, nullspace, rank, rref, solve_right
 from .polycode import powers, support_tb
 
 DEFAULT_CAP = 1 << 30
@@ -77,11 +77,12 @@ class LinearCode:
 
     @cached_property
     def dual_basis(self) -> np.ndarray:
-        return nullspace(self.ctx, self.basis)
+        return frozen(nullspace(self.ctx, self.basis))
 
-    @cached_property
+    @property
     def dual_space(self) -> RowSpace:
-        return RowSpace(self.ctx, self.dual_basis)
+        """The row space of dual_basis, from the syndrome solver's elimination."""
+        return self.syndrome_solver.row_space
 
     @cached_property
     def syndrome_solver(self) -> Solver:

@@ -31,6 +31,8 @@ from .classical import (
     min_weight_excluding,
 )
 from .errors import (
+    DecodeContractViolation,
+    DecodingFailed,
     NoCoveringCheck,
     OrthogonalityViolation,
     ValidationError,
@@ -128,10 +130,10 @@ class CssCode:
         return self.cz.syndrome_solver
 
     def build_decode_tables(self) -> None:
-        """Build the syndrome solvers and the stabilizer row spaces now, so
-        that no decode or residual check pays for them. They are cached on
-        the component codes, so C_X = C_Z builds each once."""
-        _ = self.solver_x, self.solver_z, self.dual_x_space, self.dual_z_space
+        """Build the syndrome solvers now, and with them the stabilizer row
+        spaces, so that no decode or residual check pays for them. They are
+        cached on the component codes, so C_X = C_Z builds each once."""
+        _ = self.solver_x, self.solver_z
 
 
 def css_new(cx: LinearCode, cz: LinearCode,
@@ -195,6 +197,28 @@ def css_decode(code: CssCode, sx: np.ndarray, sz: np.ndarray,
 
 def residual_after_correction(ctx: FieldCtx, err: PauliError, corr: PauliError) -> PauliError:
     return PauliError(ctx.sub(err.bx, corr.bx), ctx.sub(err.bz, corr.bz))
+
+
+def contract_decode(code: CssCode, err: PauliError,
+                    dec_x: Callable[[np.ndarray], np.ndarray],
+                    dec_z: Callable[[np.ndarray], np.ndarray],
+                    weight: int, radius: int, check: bool = True) -> tuple[PauliError, PauliError]:
+    """``css_decode`` of err's syndromes: (correction, residual). Within the
+    radius a DecodingFailed or (with ``check``) a non-identity residual raises
+    DecodeContractViolation; beyond it DecodingFailed propagates."""
+    sx, sz = syndrome(code, err)
+    try:
+        corr = css_decode(code, sx, sz, dec_x, dec_z)
+    except DecodingFailed as exc:
+        if weight > radius:
+            raise
+        raise DecodeContractViolation(
+            f"decoder failed for weight {weight} <= radius {radius}: {exc}") from exc
+    residual = residual_after_correction(code.ctx, err, corr)
+    if check and weight <= radius and not is_logical_identity(code, residual):
+        raise DecodeContractViolation(
+            f"non-identity residual for weight {weight} <= radius {radius}")
+    return corr, residual
 
 
 def css_distance_brute(code: CssCode, cap: int = DEFAULT_CAP,

@@ -35,7 +35,7 @@ from functools import cached_property
 import numpy as np
 
 from .classical import LinearCode, min_weight_below, quotient_representatives, rs_code
-from .css import CssCode, PauliError, RecoverySet, css_new
+from .css import CssCode, PauliError, RecoverySet, contract_decode, css_new
 from .errors import (
     AlphabetMismatch,
     CapExceeded,
@@ -45,7 +45,7 @@ from .errors import (
     SamplingFailedAfterRetries,
     ValidationError,
 )
-from .gf import FieldCtx, RowSpace, field_new, matmul, nullspace, rref
+from .gf import FieldCtx, RowSpace, Solver, field_new, frozen, matmul, nullspace
 from .listdec import rs_unique_decode
 from .polycode import evaluate_values
 
@@ -375,17 +375,18 @@ def ael_radius(alpha_in: float, alpha_out: float, lam: float) -> float:
 
 @dataclass(frozen=True)
 class LogicalPair:
-    """Dual logical sections of a CSS code: dot(lx[i], lz[j]) = delta_ij."""
+    """Dual logical sections of a CSS code: dot(lx[i], lz[j]) = delta_ij.
+    ``logical_pair`` stores both frozen, and the readers multiply by them."""
 
     lz: np.ndarray  # k x n rows in C_Z, independent mod C_X-dual
     lx: np.ndarray  # k x n rows in C_X, adjusted to be dual to lz
 
     def read_z(self, ctx: FieldCtx, word: np.ndarray) -> np.ndarray:
         """Class of a C_Z word modulo C_X-dual (one per row of a 2-D ``word``)."""
-        return matmul(ctx, word, self.lx.T)
+        return matmul(ctx, self.lx, word.T).T
 
     def read_x(self, ctx: FieldCtx, word: np.ndarray) -> np.ndarray:
-        return matmul(ctx, word, self.lz.T)
+        return matmul(ctx, self.lz, word.T).T
 
 
 def logical_pair(code: CssCode) -> LogicalPair:
@@ -394,16 +395,14 @@ def logical_pair(code: CssCode) -> LogicalPair:
     lx = quotient_representatives(ctx, code.cx.basis, code.hz)
     assert lz.shape[0] == code.k and lx.shape[0] == code.k
     inv = _matrix_inverse(ctx, matmul(ctx, lx, lz.T))
-    return LogicalPair(lz=lz, lx=matmul(ctx, inv, lx))
+    return LogicalPair(lz=frozen(lz), lx=frozen(matmul(ctx, inv, lx)))
 
 
 def _matrix_inverse(ctx: FieldCtx, m: np.ndarray) -> np.ndarray:
-    k = m.shape[0]
-    aug = np.concatenate([m, np.eye(k, dtype=np.int64)], axis=1)
-    r, pivots = rref(ctx, aug)
-    if pivots != list(range(k)):
+    solver = Solver(ctx, m)  # the transform of a square A of full rank is A^-1
+    if len(solver.pivots) < len(m):
         raise ValidationError("logical pairing matrix is singular")
-    return r[:, k:]
+    return solver.transform
 
 
 # -- flattening between GF(p^k) and GF(p)^k ----------------------------------------------
@@ -435,7 +434,9 @@ class Flattening:
         return np.asarray(digits, dtype=np.int64) % p @ p ** np.arange(self.k)
 
     def up_dual(self, coords: np.ndarray) -> np.ndarray:
-        return matmul(self.ctx, np.asarray(coords) % self.ctx.p, np.asarray(self.dual))
+        """sum_i coords_i * dual_i: GF(p)-linear, so a product with the dual's digits."""
+        p = self.ctx.p
+        return self.up(matmul(field_new(p), np.asarray(coords) % p, self.down(self.dual)))
 
 
 def flattening(ext: FieldCtx) -> Flattening:
@@ -444,7 +445,8 @@ def flattening(ext: FieldCtx) -> Flattening:
     basis = ext.p ** np.arange(k)
     gram = ext.trace(ext.mul(basis[:, None], basis[None, :]))
     dual = matmul(ext, _matrix_inverse(field_new(ext.p), gram), basis)
-    return Flattening(ctx=ext, k=k, basis=tuple(basis.tolist()), dual=tuple(dual.tolist()), gram=gram)
+    return Flattening(ctx=ext, k=k, basis=tuple(basis.tolist()), dual=tuple(dual.tolist()),
+                      gram=frozen(gram))
 
 
 # -- the AEL construction ------------------------------------------------------------------
@@ -615,7 +617,7 @@ class _InnerDecoder:
 
     def __init__(self, ctx: FieldCtx, parity: np.ndarray, radius: int):
         self.ctx = ctx
-        self.parity = parity
+        self.parity = parity = frozen(parity)
         self.radius = radius
         n = parity.shape[1]
         from itertools import combinations, product
@@ -628,7 +630,7 @@ class _InnerDecoder:
                     e[list(supp)] = vals
                     errors.append(e)
         self.table: dict[tuple, np.ndarray] = {}
-        for e, syn in zip(errors, matmul(ctx, np.asarray(errors), parity.T).tolist()):
+        for e, syn in zip(errors, matmul(ctx, parity, np.asarray(errors).T).T.tolist()):
             self.table.setdefault(tuple(syn), e)
 
     def decode(self, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -636,7 +638,7 @@ class _InnerDecoder:
         is in the table); rows outside the table come back unchanged."""
         errors = np.zeros_like(words)
         found = np.zeros(words.shape[0], dtype=bool)
-        for i, syn in enumerate(matmul(self.ctx, words, self.parity.T).tolist()):
+        for i, syn in enumerate(matmul(self.ctx, self.parity, words.T).T.tolist()):
             e = self.table.get(tuple(syn))
             if e is not None:
                 errors[i], found[i] = e, True
@@ -819,11 +821,9 @@ def random_block_pauli(ctx: FieldCtx, n_blocks: int, delta: int, weight: int,
 
 
 def ael_quantum_decode(std: AelStandard, err: PauliError) -> tuple[PauliError, PauliError]:
-    """Syndrome-driven Pauli correction through the two AEL classical decoders."""
-    from .css import css_decode, residual_after_correction, syndrome
-
+    """Syndrome-driven Pauli correction through the two AEL classical decoders,
+    under ``css.contract_decode`` with radius ``std.radius_blocks`` blocks."""
     code = std.code
-    css = code.css
 
     def dec(side: str):
         def run(t: np.ndarray) -> np.ndarray:
@@ -831,7 +831,5 @@ def ael_quantum_decode(std: AelStandard, err: PauliError) -> tuple[PauliError, P
 
         return run
 
-    sx, sz = syndrome(css, err)
-    corr = css_decode(css, sx, sz, dec("x"), dec("z"))
-    residual = residual_after_correction(css.ctx, err, corr)
-    return corr, residual
+    return contract_decode(code.css, err, dec("x"), dec("z"),
+                           err.block_weight(code.delta), std.radius_blocks)

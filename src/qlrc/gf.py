@@ -37,10 +37,15 @@ prime below 2**31 with int64 arithmetic. Roots of unity and the cosets of
 Omega_r are strided reads of ``units()``.
 
 ``matmul(ctx, a, b)`` is the one linear-combination kernel: ``a @ b`` over
-the field with numpy's 1-D/2-D shape rules, reduced once per product. A
-prime field accumulates in float64 while every partial sum k(p-1)^2 stays
-below 2**53 (exact, and BLAS-backed); beyond that, and for every extension
-field, the products are summed per base-p digit over bounded row blocks.
+the field with numpy's 1-D/2-D shape rules, as one exact BLAS product over
+GF(p) reduced once: float32 while K*m*(p-1)^2 < 2**24 (K the inner
+dimension), else float64. An extension field expands one operand into its
+GF(p) multiplication matrices (M(a)[u, t] = digit u of a*X^t, one product of
+a's digits with the stacked companion powers C^t) and multiplies them by the
+other operand's digits. A read-only 2-D operand that owns its data (see
+``frozen``) is prepared once: its cast or expansion is cached by ``id`` and
+dropped by a weakref callback when it dies; views are never cached. Only
+large primes, at K*(p-1)^2 >= 2**53, sum int64 products over row blocks.
 
 ``rref`` is the one elimination. ``rank``, ``nullspace``, ``solve_right``,
 ``Solver`` and ``RowSpace`` read their answers off its pivots with fancy
@@ -49,6 +54,7 @@ indexing and ``matmul``; none of them loops over field elements.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -95,6 +101,8 @@ class FieldCtx:
     _log: np.ndarray = field(repr=False, default=None)
     _inv_table: np.ndarray = field(repr=False, default=None)
     _units: np.ndarray = field(repr=False, default=None)
+    _companion: np.ndarray = field(repr=False, default=None)  # C^0..C^(m-1), (m, m*m)
+    _digit_table: np.ndarray = field(repr=False, default=None)  # base-p digits of 0..q-1
 
     # -- arithmetic: one elementwise array path; an int is a 0-d array ------
 
@@ -220,11 +228,15 @@ def field_new(p: int, m: int = 1) -> FieldCtx:
             object.__setattr__(ctx, "_inv_table", inv)
         return ctx
 
-    modulus, omega, exp_table = _build_extension(p, m)
+    modulus, omega, exp_table, companion = _build_extension(p, m)
     log_table = np.full(q, -1, dtype=np.int64)
     log_table[exp_table] = np.arange(q - 1)
+    digit_table, rest = np.empty((q, m), dtype=np.uint8 if p < 256 else np.uint16), np.arange(q)
+    for u in range(m):
+        rest, digit_table[:, u] = np.divmod(rest, p)
     return FieldCtx(p=p, m=m, q=q, modulus=modulus, omega=omega,
-                    _exp=np.concatenate([exp_table, exp_table]), _log=log_table)
+                    _exp=np.concatenate([exp_table, exp_table]), _log=log_table,
+                    _companion=frozen(companion), _digit_table=digit_table)
 
 
 def _mat_pow(ctx: FieldCtx, a: np.ndarray, e: int) -> np.ndarray:
@@ -238,8 +250,9 @@ def _mat_pow(ctx: FieldCtx, a: np.ndarray, e: int) -> np.ndarray:
     return out
 
 
-def _build_extension(p: int, m: int) -> tuple[tuple[int, ...], int, np.ndarray]:
-    """Canonical modulus, omega and exp table (omega^0..omega^(q-2)) of GF(p^m), m >= 2."""
+def _build_extension(p: int, m: int) -> tuple[tuple[int, ...], int, np.ndarray, np.ndarray]:
+    """Canonical modulus, omega, exp table (omega^0..omega^(q-2)) and the
+    stacked companion powers (m x m*m) of GF(p^m), m >= 2."""
     base = field_new(p)
     q, digits, eye = p**m, p ** np.arange(m), np.eye(m, dtype=np.int64)
     for low in range(q):  # candidate f = X^m + sum f_i X^i, f_i the digits of low
@@ -264,7 +277,7 @@ def _build_extension(p: int, m: int) -> tuple[tuple[int, ...], int, np.ndarray]:
     for _ in range(0, q - 1, len(block)):
         chunks.append(block @ digits)
         block = matmul(base, block, jump)
-    return tuple(tail.tolist()) + (1,), omega, np.concatenate(chunks)[: q - 1]
+    return tuple(tail.tolist()) + (1,), omega, np.concatenate(chunks)[: q - 1], powers
 
 
 def _smallest_primitive_prime(p: int) -> int:
@@ -387,15 +400,12 @@ class Solver:
     """Repeated solves of A x = b against a fixed A (factorized once)."""
 
     def __init__(self, ctx: FieldCtx, a: np.ndarray):
-        self.ctx = ctx
         a = np.asarray(a, dtype=np.int64)
         m, n = a.shape
-        aug = np.concatenate([a, np.eye(m, dtype=np.int64)], axis=1)
-        r, pivots = rref(ctx, aug)
-        pivots = [p for p in pivots if p < n]
-        self.n = n
-        self.pivots = pivots
-        self.transform = r[:, n:]  # T with T @ A in reduced form
+        r, pivots = rref(ctx, np.concatenate([a, np.eye(m, dtype=np.int64)], axis=1))
+        self.ctx, self.n, self.pivots = ctx, n, [p for p in pivots if p < n]
+        self.transform = frozen(r[:, n:])  # T with T @ A in reduced form
+        self.row_space = RowSpace.from_rref(ctx, r[:, :n], self.pivots)  # = rref(A), pivots and all
 
     def solve(self, b: np.ndarray) -> np.ndarray | None:
         tb = matmul(self.ctx, self.transform, b)
@@ -407,49 +417,96 @@ class Solver:
         return x
 
 
-_MATMUL_BLOCK_CELLS = 1 << 18  # products held at once by the digit path
+def frozen(a: np.ndarray) -> np.ndarray:
+    """A read-only int64 copy of ``a``: how an owner stores a fixed matrix."""
+    a = np.array(a, dtype=np.int64)
+    a.flags.writeable = False
+    return a
+
+
+_MATMUL_BLOCK_CELLS = 1 << 18  # products held at once by the large-prime path
+# id(frozen operand) -> (weakref to it, {(side, p, modulus): prepared form})
+_PREPARED: dict[int, tuple[weakref.ref, dict]] = {}
+
+
+def _prepared(ctx: FieldCtx, x: np.ndarray, side: int, dtype) -> np.ndarray | None:
+    """The float form of a frozen 2-D operand (side 0 left, 1 right), cached;
+    None for any other operand. It is x's cast, or its ``_expand``."""
+    if x.base is not None or x.ndim != 2 or x.flags.writeable:  # a view is never cached
+        return None
+    key = id(x)
+    entry = _PREPARED.get(key)
+    if entry is None or entry[0]() is not x:
+        entry = _PREPARED[key] = (weakref.ref(x, lambda _, key=key: _PREPARED.pop(key, None)), {})
+    forms, which = entry[1], (side, ctx.p, ctx.modulus)
+    if which not in forms:
+        forms[which] = x.astype(dtype) if ctx.m == 1 else _expand(ctx, x, side).astype(dtype)
+    return forms[which]
+
+
+def _expand(ctx: FieldCtx, x: np.ndarray, side: int) -> np.ndarray:
+    """x's entries as multiplication matrices over GF(p), in one (rows*m x
+    cols*m) matrix. As the left operand (side 0), row i*m+u and column t*m+v
+    hold digit u of x[i, t]*X^v; as the right one, row i*m+v, column t*m+u."""
+    (rows, cols), m = x.shape, ctx.m
+    mats = matmul(field_new(ctx.p), ctx._digit_table.take(x, axis=0).reshape(-1, m),
+                  ctx._companion)  # x(C), one flattened m x m block per entry
+    order = (0, 2, 1, 3) if side == 0 else (0, 3, 1, 2)
+    return mats.reshape(rows, cols, m, m).transpose(order).reshape(rows * m, cols * m)
 
 
 def matmul(ctx: FieldCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b over the field, with numpy's shapes (1-D or 2-D operands).
 
-    Entries are canonical elements. Prime fields with k(p-1)^2 < 2**53 reduce
-    the exact float64 product once. Otherwise the products are formed a block
-    of rows at a time and summed per base-p digit, so at most about
-    ``_MATMUL_BLOCK_CELLS`` exist at once.
+    Entries are canonical elements; the module docstring gives the paths.
+    The large-prime path holds about ``_MATMUL_BLOCK_CELLS`` products at once.
     """
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
-    shape = a.shape[:-1] + b.shape[1:]
-    a2 = np.atleast_2d(a)
+    p, m = ctx.p, ctx.m
+    span = len(b) * m * (p - 1) ** 2  # bounds every partial sum
+    if span >= 1 << 53:  # m = 1: an extension field has q <= 2**22, so K >= 2**30
+        a2, b2 = np.atleast_2d(a), (b[:, None] if b.ndim == 1 else b)
+        out = np.zeros((len(a2), b2.shape[1]), dtype=np.int64)
+        step = max(1, _MATMUL_BLOCK_CELLS // max(1, b2.size))
+        for lo in range(0, len(a2), step):
+            out[lo:lo + step] = (a2[lo:lo + step, :, None] * b2 % p).sum(axis=1) % p
+        return out.reshape(a.shape[:-1] + b.shape[1:])
+    dtype = np.float32 if span < 1 << 24 else np.float64
+    fa, fb = _prepared(ctx, a, 0, dtype), _prepared(ctx, b, 1, dtype)
+    if m == 1:
+        x = a.astype(dtype) if fa is None else fa
+        y = b.astype(dtype) if fb is None else fb
+        return (x @ y).astype(np.int64) % p
+    a2 = a[None] if a.ndim == 1 else a
     b2 = b[:, None] if b.ndim == 1 else b
-    p = ctx.p
-    k, cols = b2.shape
-    if ctx.m == 1 and k * (p - 1) ** 2 < 1 << 53:
-        out = (a2.astype(np.float64) @ b2.astype(np.float64)).astype(np.int64) % p
-    else:
-        out = np.zeros((a2.shape[0], cols), dtype=np.int64)
-        step = max(1, _MATMUL_BLOCK_CELLS // max(1, k * cols))
-        for lo in range(0, a2.shape[0], step):
-            prods = ctx.mul(a2[lo:lo + step, :, None], b2[None, :, :])
-            pk = 1
-            for _ in range(ctx.m):
-                out[lo:lo + step] += (prods // pk % p).sum(axis=1) % p * pk
-                pk *= p
-    return out.reshape(shape)
+    (rows, k), cols, pk = a2.shape, b2.shape[1], p ** np.arange(m)
+    if fa is None and (fb is not None or b2.size < a2.size):  # expand b; digit u at j*m+u
+        fb = _expand(ctx, b2, 1).astype(dtype) if fb is None else fb
+        digits = ctx._digit_table.take(a2, axis=0).reshape(rows, k * m)
+        out = ((digits.astype(dtype) @ fb).astype(np.int64) % p).reshape(rows, cols, m) @ pk
+    else:  # expand a; digit u of the product's row i at row i*m+u
+        fa = _expand(ctx, a2, 0).astype(dtype) if fa is None else fa
+        digits = ctx._digit_table.take(b2, axis=0).transpose(0, 2, 1).reshape(k * m, cols)
+        out = pk @ ((fa @ digits.astype(dtype)).astype(np.int64) % p).reshape(rows, m, cols)
+    return out.reshape(a.shape[:-1] + b.shape[1:])
 
 
 class RowSpace:
     """A row space with a cached RREF for fast membership queries."""
 
     def __init__(self, ctx: FieldCtx, basis: np.ndarray):
-        self.ctx = ctx
         basis = np.asarray(basis, dtype=np.int64)
         if basis.ndim != 2:
             raise ValueError("basis must be a 2-D array")
         r, pivots = rref(ctx, basis)
-        self.rref = r[: len(pivots)]
-        self.pivots = pivots
+        self.ctx, self.rref, self.pivots = ctx, frozen(r[: len(pivots)]), pivots
+
+    @classmethod
+    def from_rref(cls, ctx: FieldCtx, r: np.ndarray, pivots: list[int]) -> "RowSpace":
+        space = cls.__new__(cls)  # r is already in RREF with these pivots
+        space.ctx, space.rref, space.pivots = ctx, frozen(r[: len(pivots)]), pivots
+        return space
 
     @property
     def dim(self) -> int:

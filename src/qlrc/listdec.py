@@ -42,7 +42,7 @@ import numpy as np
 
 from .classical import FoldedCode, LinearCode, block_weight, iter_codeword_chunks
 from .errors import CapExceeded, RadiusTooLarge, ValidationError
-from .gf import FieldCtx, matmul, nullspace, solve_right
+from .gf import FieldCtx, frozen, matmul, nullspace, solve_right
 from .polycode import element_powers, eval_table, evaluate_values, powers
 
 GS_MULTIPLICITY_CAP = 8
@@ -198,7 +198,7 @@ def _scalar_ops(ctx: FieldCtx) -> _PrimeOps | _ExtOps:
 def _idft_matrix(ctx: FieldCtx) -> np.ndarray:
     """Interpolation over the positions omega^i: coefficient j of the
     polynomial through y is n^-1 sum_i y_i omega^(-ij), and n^-1 = -1."""
-    return ctx.neg(powers(ctx, -np.arange(ctx.q - 1)))
+    return frozen(ctx.neg(powers(ctx, -np.arange(ctx.q - 1))))
 
 
 def _berlekamp_massey(ops: _PrimeOps | _ExtOps, syn: list[int], gamma: list[int],

@@ -37,7 +37,7 @@ from .errors import (
     FoldMismatch,
     ZeroShift,
 )
-from .gf import FieldCtx, coset_stride, matmul
+from .gf import FieldCtx, coset_stride, frozen, matmul
 
 
 def _check_tb_params(q: int, r: int, ell: int) -> None:
@@ -158,9 +158,7 @@ def powers(ctx: FieldCtx, exps: Sequence[int] | np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=32)
 def eval_table(ctx: FieldCtx, length: int) -> np.ndarray:
     """``powers(ctx, range(length))``, built once per field and length; read-only."""
-    out = powers(ctx, np.arange(length))
-    out.flags.writeable = False
-    return out
+    return frozen(powers(ctx, np.arange(length)))
 
 
 def element_powers(ctx: FieldCtx, x: int, k: int) -> np.ndarray:

@@ -26,8 +26,8 @@ from functools import lru_cache
 import numpy as np
 
 from .bounds import decode_radius_qtb, fqtb_distance_lower, frs_e_prime_for_radius
-from .css import PauliError, css_decode, is_logical_identity, residual_after_correction, syndrome
-from .errors import DecodeContractViolation, DecodingFailed
+from .css import PauliError, contract_decode
+from .errors import DecodingFailed
 from .gf import FieldCtx, coset_stride
 from .listdec import (
     best_feasible_radius_rs,
@@ -223,13 +223,9 @@ def quantum_decode_radius(code: QtbCode | FqtbCode) -> int:
 
 def quantum_decode(code: QtbCode | FqtbCode, err: PauliError,
                    check_weight: bool = True) -> tuple[PauliError, PauliError]:
-    """Full symplectic decode: syndromes -> two classical decodes -> residual.
-
-    Returns (correction, residual). Within the module radius the residual
-    is always a logical identity and the classical decoders never fail; a
-    violation of either raises DecodeContractViolation, which the CLI maps
-    to its own exit code. Outside it DecodingFailed propagates.
-    """
+    """Full symplectic decode: syndromes -> two classical decodes -> residual,
+    under ``css.contract_decode`` with the module radius (the CLI maps its
+    DecodeContractViolation to its own exit code)."""
     folded = isinstance(code, FqtbCode)
     css = code.base.css if folded else code.css
     decoder, s = (dec_c_folded, code.s) if folded else (dec_c, 1)
@@ -241,16 +237,4 @@ def quantum_decode(code: QtbCode | FqtbCode, err: PauliError,
         word = t.reshape(-1, s) if folded else t
         return decoder(code, word, e=radius if within else None).word.reshape(-1)
 
-    sx, sz = syndrome(css, err)
-    try:
-        corr = css_decode(css, sx, sz, dec, dec)
-    except DecodingFailed as exc:
-        if not within:
-            raise
-        raise DecodeContractViolation(
-            f"decoder failed for weight {weight} <= radius {radius}: {exc}") from exc
-    residual = residual_after_correction(css.ctx, err, corr)
-    if check_weight and within and not is_logical_identity(css, residual):
-        raise DecodeContractViolation(
-            f"non-identity residual for weight {weight} <= radius {radius}")
-    return corr, residual
+    return contract_decode(css, err, dec, dec, weight, radius, check=check_weight)

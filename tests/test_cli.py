@@ -180,19 +180,22 @@ def test_ael_simulate_rejects_every_model_but_mixed(capsys, model):
     assert model in err
 
 
-# qTB codes are CSS(C, C): one syndrome solver serves both sides
-@pytest.mark.parametrize("flags,decoder,inner_tables,solvers", [
-    (("--family", "ael", "--seed", "90"), "ael_quantum_decode", 2, 2),
-    (("--family", "qtb", "--q", "127", "--r", "3", "--ell", "80"), "quantum_decode", 0, 1),
+# One elimination per parity-check matrix of the decoded code (n qudits wide)
+# gives both its syndrome solver and its stabilizer row space; qTB codes are
+# CSS(C, C), so one serves both sides.
+@pytest.mark.parametrize("flags,decoder,inner_tables,n,eliminations", [
+    (("--family", "ael", "--seed", "90"), "ael_quantum_decode", 2, 576, 2),
+    (("--family", "qtb", "--q", "127", "--r", "3", "--ell", "80"), "quantum_decode", 0, 126, 1),
     (("--family", "fqtb", "--q", "127", "--r", "3", "--ell", "64", "--s", "2"),
-     "quantum_decode", 0, 1),
+     "quantum_decode", 0, 126, 1),
 ], ids=["ael", "qtb", "fqtb"])
 def test_simulate_builds_decode_tables_before_the_timed_decodes(capsys, monkeypatch, flags,
-                                                               decoder, inner_tables, solvers):
+                                                               decoder, inner_tables, n,
+                                                               eliminations):
     from qlrc import cli, ensembles, gf
 
     timed = []  # non-empty while a timed decode or its residual check runs
-    built = []  # (class, whether a timed call was running) per table built
+    built = []  # (class, matrix width, whether a timed call was running) per table built
 
     def timing(name):
         real = getattr(cli, name)
@@ -209,9 +212,9 @@ def test_simulate_builds_decode_tables_before_the_timed_decodes(capsys, monkeypa
     def recording(cls):
         real_init = cls.__init__
 
-        def init(self, *args, **kwargs):
-            built.append((cls.__name__, bool(timed)))
-            real_init(self, *args, **kwargs)
+        def init(self, ctx, mat, *args, **kwargs):
+            built.append((cls.__name__, np.shape(mat)[1], bool(timed)))
+            real_init(self, ctx, mat, *args, **kwargs)
 
         monkeypatch.setattr(cls, "__init__", init)
 
@@ -222,9 +225,10 @@ def test_simulate_builds_decode_tables_before_the_timed_decodes(capsys, monkeypa
     code, out, err = run(capsys, "simulate", *flags, "--trials", "2")
     assert code == 0, err
     assert json.loads(out)["successes"] == 2
-    assert not any(during for _, during in built)
-    assert [name for name, _ in built].count("_InnerDecoder") == inner_tables
-    assert [name for name, _ in built].count("Solver") == solvers
+    assert not any(during for _, _, during in built)
+    assert [name for name, _, _ in built].count("_InnerDecoder") == inner_tables
+    assert sum(name in ("Solver", "RowSpace") and width == n
+               for name, width, _ in built) == eliminations
 
 
 @pytest.mark.parametrize("argv", [
@@ -232,13 +236,12 @@ def test_simulate_builds_decode_tables_before_the_timed_decodes(capsys, monkeypa
     ("ensemble", "--kind", "ael", "--seed", "90", "--trials", "1"),
 ], ids=["simulate", "ensemble"])
 def test_ael_non_identity_residual_within_radius_exits_4(capsys, monkeypatch, argv):
-    from qlrc import cli, css
+    from qlrc import ensembles
 
-    def leave_the_error(std, err):  # a decoder that corrects nothing
-        zero = np.zeros_like(err.bx)
-        return css.PauliError(zero, zero), err
+    def leave_the_error(code, word, side="z", inner_radius=1):  # corrects nothing
+        return ensembles.AelDecodeResult(message=None, word=word, inner_failures=0)
 
-    monkeypatch.setattr(cli, "ael_quantum_decode", leave_the_error)
+    monkeypatch.setattr(ensembles, "ael_decode", leave_the_error)
     code, _, err = run(capsys, *argv)
     assert code == 4, err
     assert "residual" in err

@@ -34,7 +34,13 @@ from qlrc.ensembles import (
     sample_qlrc_with_distance,
     stream_rng,
 )
-from qlrc.errors import FoldingMismatch, SiblingErased, ValidationError
+from qlrc.errors import (
+    DecodeContractViolation,
+    DecodingFailed,
+    FoldingMismatch,
+    SiblingErased,
+    ValidationError,
+)
 from qlrc.gf import field_new, matmul
 
 
@@ -253,6 +259,49 @@ def test_ael_permuted_graph_structure_and_decode():
     msg = rng.integers(0, 9, size=code.outer.k)
     w = ael_encode(code, msg, "z")
     assert np.array_equal(ael_decode(code, w, "z").message, msg)
+
+
+def _radius_one(code):
+    """The fields of AelStandard that ael_quantum_decode reads."""
+    from types import SimpleNamespace
+
+    return SimpleNamespace(code=code, inner_radius=1, radius_blocks=1)
+
+
+def test_ael_quantum_decode_flags_a_non_identity_residual_within_radius(small_ael, monkeypatch):
+    from qlrc import ensembles
+
+    std = _radius_one(small_ael)
+    err = PauliError(np.eye(1, small_ael.n_qudits, dtype=np.int64)[0],
+                     np.zeros(small_ael.n_qudits, dtype=np.int64))
+    _, resid = ael_quantum_decode(std, err)  # the real decoders correct it
+    assert is_logical_identity(small_ael.css, resid)
+    assert not is_logical_identity(small_ael.css, err)
+
+    def leave_the_error(code, word, side="z", inner_radius=1):  # corrects nothing
+        return ensembles.AelDecodeResult(message=None, word=word, inner_failures=0)
+
+    monkeypatch.setattr(ensembles, "ael_decode", leave_the_error)
+    with pytest.raises(DecodeContractViolation, match="residual"):
+        ael_quantum_decode(std, err)
+
+
+def test_ael_quantum_decode_failure_is_a_violation_only_within_radius(small_ael, monkeypatch):
+    from qlrc import ensembles
+
+    def fail(code, word, side="z", inner_radius=1):
+        raise DecodingFailed("no codeword")
+
+    monkeypatch.setattr(ensembles, "ael_decode", fail)
+    std = _radius_one(small_ael)
+    rng = np.random.default_rng(5)
+    for blocks, raised in ((1, DecodeContractViolation), (2, DecodingFailed)):
+        err = random_block_pauli(small_ael.ctx, small_ael.block_count, small_ael.delta,
+                                 blocks, rng)
+        assert err.block_weight(small_ael.delta) == blocks
+        with pytest.raises(raised) as info:
+            ael_quantum_decode(std, err)
+        assert type(info.value) is raised
 
 
 def test_ael_standard_build_and_radius():

@@ -307,8 +307,9 @@ def _matmul_oracle(ctx, a, b):
     return out.reshape(np.matmul(np.zeros(a.shape), np.zeros(b.shape)).shape)
 
 
-# GF(7), GF(13): float64 path; 2^27 - 39 (products near 2^54) and 2^31 - 1
-# (near 2^62): the prime digit path; the extension fields: the digit path
+# GF(7), GF(13): the float path; 2^27 - 39 (products near 2^54) and 2^31 - 1
+# (near 2^62): the large-prime path; the extension fields: the float path
+# through the base-field expansion
 MATMUL_FIELDS = [(7, 1), (13, 1), (2**27 - 39, 1), (2**31 - 1, 1), (5, 2), (2, 3), (3, 3)]
 
 
@@ -344,3 +345,102 @@ def test_matmul_row_blocks(p, m, monkeypatch):
     b = rng.integers(0, ctx.q, size=(5, 4))
     assert np.array_equal(matmul(ctx, a, b), _matmul_oracle(ctx, a, b))
 
+
+
+# GF(2), GF(7), GF(127), GF(4), GF(8), GF(9), GF(25), GF(2^8)
+PREPARED_FIELDS = [(2, 1), (7, 1), (127, 1), (2, 2), (2, 3), (3, 2), (5, 2), (2, 8)]
+
+
+@pytest.mark.parametrize("p,m", PREPARED_FIELDS)
+def test_matmul_prepared_operands_match_the_scalar_oracle(p, m):
+    ctx = field_new(p, m)
+    rng = np.random.default_rng(p * 10 + m)
+    for rows, k, cols in ((3, 5, 4), (1, 7, 1), (6, 2, 9), (0, 3, 2), (2, 0, 3)):
+        a = rng.integers(0, ctx.q, size=(rows, k))
+        b = rng.integers(0, ctx.q, size=(k, cols))
+        a1, b1 = rng.integers(0, ctx.q, size=(2, k))
+        cases = [(a, b), (gf.frozen(a), b), (a, gf.frozen(b)), (gf.frozen(a), gf.frozen(b)),
+                 (gf.frozen(a), b1), (a1, gf.frozen(b)), (a, b1), (a1, b)]
+        for x, y in cases:
+            want = _matmul_oracle(ctx, np.asarray(x), np.asarray(y))
+            for _ in range(2):  # the second call reads the prepared form
+                got = matmul(ctx, x, y)
+                assert got.shape == want.shape and np.array_equal(got, want), (x.shape, y.shape)
+
+
+def _dot(p, a, b):
+    return sum(int(x) * int(y) for x, y in zip(a, b)) % p
+
+
+def test_matmul_float32_up_to_2_24_then_float64():
+    # K*(p-1)^2 is 16,765,056 < 2^24 for K = 1056 over GF(127), 16,780,932 for
+    # K = 1057; the second sum below is odd and above 2^24, which float32 rounds
+    ctx = field_new(127)
+    for k, dtype in ((1056, np.float32), (1057, np.float64)):
+        row = np.full(k, 126)
+        row[-1] = 125
+        left = gf.frozen(row[None, :])
+        assert matmul(ctx, left, row).tolist() == [_dot(127, row, row)]
+        assert matmul(ctx, row, gf.frozen(row[:, None])).tolist() == [_dot(127, row, row)]
+        assert matmul(ctx, row, row) == _dot(127, row, row)
+        assert gf._PREPARED[id(left)][1][0, 127, ()].dtype == dtype
+
+
+def test_matmul_large_prime_path_beyond_2_53():
+    # (p-1)^2 < 2^53 <= 2(p-1)^2: K = 1 stays in float64, K = 2 takes the
+    # large-prime path; (p-1)^2 + (p-2)^2 is odd and above 2^53, which
+    # float64 rounds
+    p = 94906249
+    ctx = field_new(p)
+    top = np.array([p - 1, p - 2])
+    assert matmul(ctx, top[:1], top[:1]) == (p - 1) ** 2 % p
+    assert matmul(ctx, top, top) == ((p - 1) ** 2 + (p - 2) ** 2) % p
+    rng = np.random.default_rng(3)
+    a, b = rng.integers(0, p, size=(3, 2)), gf.frozen(rng.integers(0, p, size=(2, 4)))
+    assert np.array_equal(matmul(ctx, a, b), _matmul_oracle(ctx, a, b))
+
+
+def test_prepared_form_dies_with_its_array():
+    ctx = field_new(5, 2)
+    a = gf.frozen(np.arange(12).reshape(3, 4))
+    before = len(gf._PREPARED)
+    matmul(ctx, a, np.arange(4))
+    key = id(a)
+    assert key in gf._PREPARED and len(gf._PREPARED) == before + 1
+    del a
+    assert key not in gf._PREPARED and len(gf._PREPARED) == before
+
+
+def test_views_and_writeable_operands_are_never_prepared():
+    ctx = field_new(7)
+    a = gf.frozen(np.arange(24).reshape(4, 6) % 7)
+    w = np.arange(24).reshape(6, 4) % 7
+    matmul(ctx, a, w)
+    size = len(gf._PREPARED)
+    for i in range(1000):  # transient views
+        matmul(ctx, a.T, a[:, :4])
+        matmul(ctx, a[i % 4:], w)
+        matmul(ctx, w, a[:, 1:5])
+    views = [a.T, a[1:], a[:, 1:5]]  # read-only views that stay alive
+    for _ in range(10):
+        matmul(ctx, views[0], views[2])
+        matmul(ctx, views[1], w)
+        matmul(ctx, w, views[2])
+    assert len(gf._PREPARED) == size
+    assert not any(id(x) in gf._PREPARED for x in views + [w]) and w.flags.writeable
+
+
+def test_fixed_matrices_are_read_only():
+    from qlrc.ensembles import _InnerDecoder, logical_pair, random_qlrc
+    from qlrc.listdec import _idft_matrix
+    from qlrc.polycode import eval_table
+
+    sample = random_qlrc(12, 3, 1, 3, seed=2)
+    ctx, code = sample.ctx, sample.css.cz
+    pair = logical_pair(sample.css)
+    fixed = [code.dual_basis, code.syndrome_solver.transform, code.dual_space.rref,
+             RowSpace(ctx, code.basis).rref, Solver(ctx, code.basis).transform,
+             _idft_matrix(ctx), eval_table(ctx, 6), pair.lx, pair.lz,
+             _InnerDecoder(ctx, np.array(sample.css.hz), 1).parity]
+    for mat in fixed:
+        assert not mat.flags.writeable and mat.base is None
