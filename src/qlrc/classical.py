@@ -19,8 +19,7 @@ independent of the code dimension. The two are cross-checked in tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
@@ -34,7 +33,7 @@ from .errors import (
     NotASubcode,
     ZeroPivot,
 )
-from .gf import FieldCtx, RowSpace, Solver, frozen, matmul, nullspace, rank, rref, solve_right
+from .gf import FieldCtx, RowSpace, kernel, matmul, rank, rref, solve_right
 from .polycode import powers, support_tb
 
 DEFAULT_CAP = 1 << 30
@@ -42,11 +41,21 @@ DEFAULT_CAP = 1 << 30
 
 @dataclass(frozen=True, eq=False)
 class LinearCode:
-    """A linear code given by a full-rank basis (k x n) over GF(q)."""
+    """A linear code given by a full-rank basis (k x n) over GF(q).
+
+    The basis G is eliminated once, at construction, and everything else is
+    read off that RREF. With pivots P and free columns F, the kernel basis H
+    (``dual_basis``) has H[:, F] = I: G = [I | A] up to column order gives
+    H = [-A^T | I]. So the RREF rows are the pivot basis of ``row_space``, H
+    with "pivots" F is the pivot basis of ``dual_space``, and the vector that
+    is s on F and 0 elsewhere has syndrome H x = s.
+    """
 
     ctx: FieldCtx
     basis: np.ndarray
     support: tuple[int, ...] | None = None
+    row_space: RowSpace = field(init=False, repr=False)
+    dual_space: RowSpace = field(init=False, repr=False)
 
     def __post_init__(self):
         b = np.asarray(self.basis, dtype=np.int64)
@@ -59,6 +68,9 @@ class LinearCode:
         b = b.copy()
         b.setflags(write=False)
         object.__setattr__(self, "basis", b)
+        object.__setattr__(self, "row_space", RowSpace.from_pivot_basis(self.ctx, r, pivots))
+        h, free = kernel(self.ctx, r, pivots)
+        object.__setattr__(self, "dual_space", RowSpace.from_pivot_basis(self.ctx, h, free))
 
     @property
     def n(self) -> int:
@@ -68,26 +80,13 @@ class LinearCode:
     def dim(self) -> int:
         return self.basis.shape[0]
 
-    @cached_property
-    def row_space(self) -> RowSpace:
-        return RowSpace(self.ctx, self.basis)
-
     def contains(self, word: np.ndarray) -> bool:
         return self.row_space.contains(np.asarray(word, dtype=np.int64))
 
-    @cached_property
-    def dual_basis(self) -> np.ndarray:
-        return frozen(nullspace(self.ctx, self.basis))
-
     @property
-    def dual_space(self) -> RowSpace:
-        """The row space of dual_basis, from the syndrome solver's elimination."""
-        return self.syndrome_solver.row_space
-
-    @cached_property
-    def syndrome_solver(self) -> Solver:
-        """Solves dual_basis @ x = syndrome for one x."""
-        return Solver(self.ctx, self.dual_basis)
+    def dual_basis(self) -> np.ndarray:
+        """Rows spanning the dual code: the parity-check matrix H, read-only."""
+        return self.dual_space.pivot_basis
 
     def dual(self) -> "LinearCode":
         return LinearCode(self.ctx, self.dual_basis)

@@ -181,7 +181,6 @@ def _simulate_code(built, args):
             if weight > radius and not args.allow_overload:
                 raise ValidationError(
                     f"weight {weight} exceeds decode radius {radius}; pass --allow-overload")
-            css.build_decode_tables()
 
             def sample(rng):
                 if fam == "fqtb":
@@ -190,7 +189,7 @@ def _simulate_code(built, args):
 
             def decode(err):
                 try:
-                    _, resid = quantum_decode(obj, err, check_weight=not args.allow_overload)
+                    _, resid = quantum_decode(obj, err)
                     return is_logical_identity(css, resid)
                 except QlrcError:
                     if not args.allow_overload:

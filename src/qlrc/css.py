@@ -38,7 +38,7 @@ from .errors import (
     ValidationError,
     ZeroPivot,
 )
-from .gf import FieldCtx, RowSpace, Solver, matmul, nullspace, rank
+from .gf import FieldCtx, RowSpace, matmul, nullspace, rank
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,20 +121,6 @@ class CssCode:
     def symmetric(self) -> bool:
         return self.cx is self.cz or self.cx.same_row_space(self.cz)
 
-    @property
-    def solver_x(self) -> Solver:
-        return self.cx.syndrome_solver
-
-    @property
-    def solver_z(self) -> Solver:
-        return self.cz.syndrome_solver
-
-    def build_decode_tables(self) -> None:
-        """Build the syndrome solvers now, and with them the stabilizer row
-        spaces, so that no decode or residual check pays for them. They are
-        cached on the component codes, so C_X = C_Z builds each once."""
-        _ = self.solver_x, self.solver_z
-
 
 def css_new(cx: LinearCode, cz: LinearCode,
             recovery: Sequence[RecoverySet] | None = None) -> CssCode:
@@ -170,12 +156,16 @@ def is_logical_identity(code: CssCode, err: PauliError) -> bool:
 
 
 def coset_representative(code: CssCode, side: str, syn: np.ndarray) -> np.ndarray:
-    """Any vector with the given syndrome (cached factorization)."""
-    solver = code.solver_x if side == "x" else code.solver_z
-    t = solver.solve(syn)
-    if t is None:
-        raise ValidationError("syndrome outside the image of the check matrix")
-    return t
+    """Any vector with the given syndrome: ``syn`` on the free columns F of
+    the component code's RREF, where its parity-check matrix is the
+    identity, and 0 elsewhere. No elimination runs."""
+    space = code.dual_x_space if side == "x" else code.dual_z_space
+    syn = np.asarray(syn, dtype=np.int64)
+    if syn.shape != (space.dim,):
+        raise ValidationError(f"syndrome has shape {syn.shape}, expected ({space.dim},)")
+    out = np.zeros(code.n, dtype=np.int64)
+    out[space.pivots] = syn
+    return out
 
 
 def css_decode(code: CssCode, sx: np.ndarray, sz: np.ndarray,
@@ -202,9 +192,9 @@ def residual_after_correction(ctx: FieldCtx, err: PauliError, corr: PauliError) 
 def contract_decode(code: CssCode, err: PauliError,
                     dec_x: Callable[[np.ndarray], np.ndarray],
                     dec_z: Callable[[np.ndarray], np.ndarray],
-                    weight: int, radius: int, check: bool = True) -> tuple[PauliError, PauliError]:
+                    weight: int, radius: int) -> tuple[PauliError, PauliError]:
     """``css_decode`` of err's syndromes: (correction, residual). Within the
-    radius a DecodingFailed or (with ``check``) a non-identity residual raises
+    radius a DecodingFailed or a non-identity residual raises
     DecodeContractViolation; beyond it DecodingFailed propagates."""
     sx, sz = syndrome(code, err)
     try:
@@ -215,7 +205,7 @@ def contract_decode(code: CssCode, err: PauliError,
         raise DecodeContractViolation(
             f"decoder failed for weight {weight} <= radius {radius}: {exc}") from exc
     residual = residual_after_correction(code.ctx, err, corr)
-    if check and weight <= radius and not is_logical_identity(code, residual):
+    if weight <= radius and not is_logical_identity(code, residual):
         raise DecodeContractViolation(
             f"non-identity residual for weight {weight} <= radius {radius}")
     return corr, residual

@@ -45,7 +45,7 @@ from .errors import (
     SamplingFailedAfterRetries,
     ValidationError,
 )
-from .gf import FieldCtx, RowSpace, Solver, field_new, frozen, matmul, nullspace
+from .gf import FieldCtx, RowSpace, field_new, frozen, matmul, nullspace, rref
 from .listdec import rs_unique_decode
 from .polycode import evaluate_values
 
@@ -399,10 +399,12 @@ def logical_pair(code: CssCode) -> LogicalPair:
 
 
 def _matrix_inverse(ctx: FieldCtx, m: np.ndarray) -> np.ndarray:
-    solver = Solver(ctx, m)  # the transform of a square A of full rank is A^-1
-    if len(solver.pivots) < len(m):
+    """A^-1 of a square A, read off rref([A | I]) = [I | A^-1]."""
+    n = len(m)
+    r, pivots = rref(ctx, np.hstack([m, np.eye(n, dtype=np.int64)]))
+    if pivots != list(range(n)):
         raise ValidationError("logical pairing matrix is singular")
-    return solver.transform
+    return r[:, n:]
 
 
 # -- flattening between GF(p^k) and GF(p)^k ----------------------------------------------
@@ -754,13 +756,11 @@ class AelStandard:
         }
 
     def build_decode_tables(self) -> None:
-        """Build what a decode and its residual check would otherwise build
-        on first use, so that no timed decode pays for it: both sides' inner
-        syndrome tables, the CSS syndrome solvers and the stabilizer spaces
-        that ``css.is_logical_identity`` reads."""
+        """Build both sides' inner syndrome tables, which a decode would
+        otherwise build on first use, so that no timed decode pays for them.
+        Everything else a decode reads is built with the code."""
         for side in ("x", "z"):
             _inner_decoder_cache(self.code, side, self.inner_radius)
-        self.code.css.build_decode_tables()
 
 
 def ael_standard_build(seed: int, q_in: int = 5, n_in: int = 24, r_in: int = 3,

@@ -47,9 +47,11 @@ other operand's digits. A read-only 2-D operand that owns its data (see
 dropped by a weakref callback when it dies; views are never cached. Only
 large primes, at K*(p-1)^2 >= 2**53, sum int64 products over row blocks.
 
-``rref`` is the one elimination. ``rank``, ``nullspace``, ``solve_right``,
-``Solver`` and ``RowSpace`` read their answers off its pivots with fancy
-indexing and ``matmul``; none of them loops over field elements.
+``rref`` is the one elimination. ``rank``, ``kernel``, ``nullspace``,
+``solve_right`` and ``RowSpace`` read their answers off its pivots with
+fancy indexing and ``matmul``; none of them loops over field elements.
+``kernel`` reads the kernel off an RREF that is already in hand, so an owner
+that keeps one elimination (``classical.LinearCode``) gets its dual from it.
 """
 
 from __future__ import annotations
@@ -363,23 +365,24 @@ def rref(ctx: FieldCtx, mat: np.ndarray) -> tuple[np.ndarray, list[int]]:
 
 
 def rank(ctx: FieldCtx, mat: np.ndarray) -> int:
-    if mat.size == 0:
-        return 0
     return len(rref(ctx, mat)[1])
+
+
+def kernel(ctx: FieldCtx, r: np.ndarray, pivots: list[int]) -> tuple[np.ndarray, list[int]]:
+    """Kernel basis (as rows) of a matrix whose RREF is (r, pivots), and its
+    free columns F: row j is 1 at F[j] and 0 at the other free columns."""
+    cols = r.shape[1]
+    taken = set(pivots)
+    free = [c for c in range(cols) if c not in taken]
+    basis = np.zeros((len(free), cols), dtype=np.int64)
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = ctx.neg(r[: len(pivots), free].T)
+    return basis, free
 
 
 def nullspace(ctx: FieldCtx, mat: np.ndarray) -> np.ndarray:
     """Basis (as rows) of {v : mat @ v = 0}."""
-    mat = np.asarray(mat, dtype=np.int64)
-    rows, cols = mat.shape
-    if rows == 0:
-        return np.eye(cols, dtype=np.int64)
-    r, pivots = rref(ctx, mat)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = np.zeros((len(free), cols), dtype=np.int64)
-    basis[np.arange(len(free)), free] = 1
-    basis[:, pivots] = ctx.neg(r[: len(pivots), free].T)
-    return basis
+    return kernel(ctx, *rref(ctx, np.asarray(mat, dtype=np.int64)))[0]
 
 
 def solve_right(ctx: FieldCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
@@ -394,27 +397,6 @@ def solve_right(ctx: FieldCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray | Non
     x = np.zeros(cols, dtype=np.int64)
     x[pivots] = r[: len(pivots), cols]
     return x
-
-
-class Solver:
-    """Repeated solves of A x = b against a fixed A (factorized once)."""
-
-    def __init__(self, ctx: FieldCtx, a: np.ndarray):
-        a = np.asarray(a, dtype=np.int64)
-        m, n = a.shape
-        r, pivots = rref(ctx, np.concatenate([a, np.eye(m, dtype=np.int64)], axis=1))
-        self.ctx, self.n, self.pivots = ctx, n, [p for p in pivots if p < n]
-        self.transform = frozen(r[:, n:])  # T with T @ A in reduced form
-        self.row_space = RowSpace.from_rref(ctx, r[:, :n], self.pivots)  # = rref(A), pivots and all
-
-    def solve(self, b: np.ndarray) -> np.ndarray | None:
-        tb = matmul(self.ctx, self.transform, b)
-        k = len(self.pivots)
-        if np.any(tb[k:]):
-            return None
-        x = np.zeros(self.n, dtype=np.int64)
-        x[self.pivots] = tb[:k]
-        return x
 
 
 def frozen(a: np.ndarray) -> np.ndarray:
@@ -493,19 +475,24 @@ def matmul(ctx: FieldCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 class RowSpace:
-    """A row space with a cached RREF for fast membership queries."""
+    """A row space kept as a basis in which each row is 1 at its own pivot
+    column and 0 at the other rows' pivots, for fast membership queries.
+
+    An RREF is one such basis; so is a kernel basis from ``kernel``, with the
+    free columns as its pivots.
+    """
 
     def __init__(self, ctx: FieldCtx, basis: np.ndarray):
         basis = np.asarray(basis, dtype=np.int64)
         if basis.ndim != 2:
             raise ValueError("basis must be a 2-D array")
         r, pivots = rref(ctx, basis)
-        self.ctx, self.rref, self.pivots = ctx, frozen(r[: len(pivots)]), pivots
+        self.ctx, self.pivot_basis, self.pivots = ctx, frozen(r[: len(pivots)]), pivots
 
     @classmethod
-    def from_rref(cls, ctx: FieldCtx, r: np.ndarray, pivots: list[int]) -> "RowSpace":
-        space = cls.__new__(cls)  # r is already in RREF with these pivots
-        space.ctx, space.rref, space.pivots = ctx, frozen(r[: len(pivots)]), pivots
+    def from_pivot_basis(cls, ctx: FieldCtx, basis: np.ndarray, pivots: list[int]) -> "RowSpace":
+        space = cls.__new__(cls)  # basis[:, pivots] is already the identity
+        space.ctx, space.pivot_basis, space.pivots = ctx, frozen(basis[: len(pivots)]), pivots
         return space
 
     @property
@@ -515,25 +502,17 @@ class RowSpace:
     def reduce(self, v: np.ndarray) -> np.ndarray:
         """Residue of v modulo the row space (zero iff member).
 
-        Every RREF row is zero at the other rows' pivots, so the coefficient
+        Every basis row is zero at the other rows' pivots, so the coefficient
         of row i is v's own entry at pivot i: the residue is one product.
         """
         v = np.asarray(v, dtype=np.int64)
-        return self.ctx.sub(v, matmul(self.ctx, v[self.pivots], self.rref))
+        return self.ctx.sub(v, matmul(self.ctx, v[self.pivots], self.pivot_basis))
 
     def contains(self, v: np.ndarray) -> bool:
         return not np.any(self.reduce(v))
 
     def coordinates(self, v: np.ndarray) -> np.ndarray | None:
-        """Coefficients of v in the RREF basis, or None if not a member."""
+        """Coefficients of v in the pivot basis, or None if not a member."""
         if np.any(self.reduce(v)):
             return None
         return np.asarray(v, dtype=np.int64)[self.pivots]
-
-    def __eq__(self, other):
-        return (isinstance(other, RowSpace) and self.ctx == other.ctx
-                and self.pivots == other.pivots
-                and bool(np.array_equal(self.rref, other.rref)))
-
-    def __hash__(self):  # pragma: no cover - not used as dict key in hot paths
-        return hash((self.ctx, tuple(self.pivots)))

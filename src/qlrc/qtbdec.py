@@ -221,8 +221,7 @@ def quantum_decode_radius(code: QtbCode | FqtbCode) -> int:
     return dec_c_radius(code.q, code.r, code.ell)
 
 
-def quantum_decode(code: QtbCode | FqtbCode, err: PauliError,
-                   check_weight: bool = True) -> tuple[PauliError, PauliError]:
+def quantum_decode(code: QtbCode | FqtbCode, err: PauliError) -> tuple[PauliError, PauliError]:
     """Full symplectic decode: syndromes -> two classical decodes -> residual,
     under ``css.contract_decode`` with the module radius (the CLI maps its
     DecodeContractViolation to its own exit code)."""
@@ -237,4 +236,4 @@ def quantum_decode(code: QtbCode | FqtbCode, err: PauliError,
         word = t.reshape(-1, s) if folded else t
         return decoder(code, word, e=radius if within else None).word.reshape(-1)
 
-    return contract_decode(css, err, dec, dec, weight, radius, check=check_weight)
+    return contract_decode(css, err, dec, dec, weight, radius)

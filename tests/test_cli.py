@@ -1,6 +1,7 @@
 """CLI surface: outputs, exit codes, determinism."""
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -180,22 +181,23 @@ def test_ael_simulate_rejects_every_model_but_mixed(capsys, model):
     assert model in err
 
 
-# One elimination per parity-check matrix of the decoded code (n qudits wide)
-# gives both its syndrome solver and its stabilizer row space; qTB codes are
-# CSS(C, C), so one serves both sides.
+# Each generator of the decoded code is eliminated once, at construction, and
+# that one RREF gives its parity checks, stabilizer row space and syndrome
+# preimages. qTB codes are CSS(C, C); their second n-wide elimination is the
+# piecewise-linear space.
 @pytest.mark.parametrize("flags,decoder,inner_tables,n,eliminations", [
     (("--family", "ael", "--seed", "90"), "ael_quantum_decode", 2, 576, 2),
-    (("--family", "qtb", "--q", "127", "--r", "3", "--ell", "80"), "quantum_decode", 0, 126, 1),
+    (("--family", "qtb", "--q", "127", "--r", "3", "--ell", "80"), "quantum_decode", 0, 126, 2),
     (("--family", "fqtb", "--q", "127", "--r", "3", "--ell", "64", "--s", "2"),
-     "quantum_decode", 0, 126, 1),
+     "quantum_decode", 0, 126, 2),
 ], ids=["ael", "qtb", "fqtb"])
 def test_simulate_builds_decode_tables_before_the_timed_decodes(capsys, monkeypatch, flags,
                                                                decoder, inner_tables, n,
                                                                eliminations):
-    from qlrc import cli, ensembles, gf
+    from qlrc import classical, cli, ensembles, gf
 
     timed = []  # non-empty while a timed decode or its residual check runs
-    built = []  # (class, matrix width, whether a timed call was running) per table built
+    built = []  # (table or "rref", matrix width, whether a timed call was running)
 
     def timing(name):
         real = getattr(cli, name)
@@ -209,26 +211,42 @@ def test_simulate_builds_decode_tables_before_the_timed_decodes(capsys, monkeypa
 
         monkeypatch.setattr(cli, name, call)
 
-    def recording(cls):
-        real_init = cls.__init__
+    real_init, real_rref = ensembles._InnerDecoder.__init__, gf.rref
 
-        def init(self, ctx, mat, *args, **kwargs):
-            built.append((cls.__name__, np.shape(mat)[1], bool(timed)))
-            real_init(self, ctx, mat, *args, **kwargs)
+    def init(self, ctx, mat, *args, **kwargs):
+        built.append(("_InnerDecoder", np.shape(mat)[1], bool(timed)))
+        real_init(self, ctx, mat, *args, **kwargs)
 
-        monkeypatch.setattr(cls, "__init__", init)
+    def rref(ctx, mat):
+        built.append(("rref", np.shape(mat)[1], bool(timed)))
+        return real_rref(ctx, mat)
 
     timing(decoder)
     timing("is_logical_identity")
-    for cls in (ensembles._InnerDecoder, gf.Solver, gf.RowSpace):
-        recording(cls)
+    monkeypatch.setattr(ensembles._InnerDecoder, "__init__", init)
+    for module in (gf, classical, ensembles):  # every binding of gf.rref
+        monkeypatch.setattr(module, "rref", rref)
     code, out, err = run(capsys, "simulate", *flags, "--trials", "2")
     assert code == 0, err
     assert json.loads(out)["successes"] == 2
     assert not any(during for _, _, during in built)
     assert [name for name, _, _ in built].count("_InnerDecoder") == inner_tables
-    assert sum(name in ("Solver", "RowSpace") and width == n
-               for name, width, _ in built) == eliminations
+    assert sum(name == "rref" and width >= n for name, width, _ in built) == eliminations
+
+
+def test_simulate_allow_overload_counts_a_wrong_residual_within_the_radius_as_failed(
+        capsys, monkeypatch):
+    from qlrc import qtbdec
+
+    def leave_the_error(code, values, e=None):  # corrects nothing
+        return SimpleNamespace(word=values)
+
+    monkeypatch.setattr(qtbdec, "dec_c", leave_the_error)
+    code, out, err = run(capsys, "simulate", "--family", "qtb", "--q", "31", "--r", "3",
+                         "--ell", "21", "--weight", "1", "--allow-overload", "--trials", "3")
+    assert code == 0, err
+    d = json.loads(out)
+    assert d["e"] == 1 and d["trials"] == 3 and d["successes"] == 0
 
 
 @pytest.mark.parametrize("argv", [

@@ -19,9 +19,9 @@ from qlrc.css import (
     residual_after_correction,
     syndrome,
 )
-from qlrc.errors import NoCoveringCheck, OrthogonalityViolation
+from qlrc.errors import NoCoveringCheck, OrthogonalityViolation, ValidationError
 from qlrc.gf import field_new, matmul
-from qlrc.polycode import support_qtb
+from qlrc.polycode import powers, support_qtb
 
 F7 = field_new(7)
 F13 = field_new(13)
@@ -92,6 +92,57 @@ def test_coset_representative_consistency():
         sx, sz = syndrome(code, e)
         tx = coset_representative(code, "x", sx)
         assert code.cx.contains(F13.sub(tx, e.bx))
+
+
+def test_one_elimination_serves_membership_dual_and_preimage(monkeypatch):
+    from qlrc import classical, gf
+
+    calls = []
+    real = gf.rref
+
+    def counting(ctx, mat):
+        calls.append(np.shape(mat))
+        return real(ctx, mat)
+
+    for module in (gf, classical):  # every binding that a code's methods could reach
+        monkeypatch.setattr(module, "rref", counting)
+    c = classical.LinearCode(F13, powers(F13, support_qtb(13, 3, 8)))
+    code = css_new(c, c)
+    assert c.contains(c.basis[0]) and not c.contains(np.eye(12, dtype=np.int64)[0])
+    assert c.dual_basis.shape == (5, 12) and c.dual_space.contains(c.dual_basis[1])
+    coset_representative(code, "x", np.arange(5))
+    assert calls == [(7, 12)]
+
+
+def _ael_css():
+    from qlrc.ensembles import ael_standard_build
+
+    return ael_standard_build(seed=90).code.css
+
+
+def _random_qlrc_css():
+    from qlrc.ensembles import random_qlrc
+
+    return random_qlrc(12, 3, 1, 5, seed=0).css
+
+
+@pytest.mark.parametrize("build", [lambda: qtb_css(13, 3, 8), _ael_css, _random_qlrc_css],
+                         ids=["qtb13", "ael90", "random_qlrc"])
+def test_coset_representative_is_the_syndrome_on_the_free_columns(build):
+    from qlrc.gf import rref
+
+    code = build()
+    ctx = code.ctx
+    rng = np.random.default_rng(3)
+    for side, component, checks in (("x", code.cx, code.hx), ("z", code.cz, code.hz)):
+        pivots = rref(ctx, component.basis)[1]
+        for _ in range(5):
+            syn = rng.integers(0, ctx.q, size=len(checks))
+            t = coset_representative(code, side, syn)
+            assert np.array_equal(matmul(ctx, checks, t), syn)
+            assert not np.any(t[pivots])  # zero off the free columns
+        with pytest.raises(ValidationError):
+            coset_representative(code, side, np.zeros(len(checks) + 1, dtype=np.int64))
 
 
 def test_erasures_empty_and_singletons():
