@@ -18,6 +18,7 @@ independent of the code dimension. The two are cross-checked in tests.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -277,12 +278,6 @@ def min_weight(code: LinearCode, cap: int = DEFAULT_CAP,
     return min_weight_excluding(code, zero, cap=cap, fold_s=fold_s)
 
 
-def _support_combinations(n: int, w: int) -> Iterator[tuple[int, ...]]:
-    import itertools
-
-    yield from itertools.combinations(range(n), w)
-
-
 def min_weight_below(parity: np.ndarray, ctx: FieldCtx, max_weight: int,
                      exclude: RowSpace | None = None,
                      cap: int = DEFAULT_CAP) -> tuple[int | None, np.ndarray | None]:
@@ -305,7 +300,7 @@ def min_weight_below(parity: np.ndarray, ctx: FieldCtx, max_weight: int,
         # all value patterns on a w-support
         patterns = np.stack(np.meshgrid(*([nonzero] * w), indexing="ij"), axis=-1)
         patterns = patterns.reshape(-1, w)
-        for supp in _support_combinations(n, w):
+        for supp in itertools.combinations(range(n), w):
             cols = parity[:, supp]
             syn = matmul(ctx, patterns, cols.T)  # syndromes of every pattern on this support
             hits = np.nonzero(~np.any(syn, axis=1))[0]

@@ -158,12 +158,10 @@ def _simulate_code(built, args):
             weight = 1
 
             def sample(rng):
-                i = int(rng.integers(n))
-                return i, _single_qudit(css.ctx, n, i, rng)
+                return random_pauli(css.ctx, n, 1, "mixed", rng)
 
-            def decode(trial):
-                i, err = trial
-                corr = recover_pauli(css, css.recovery[i], err)
+            def decode(err):
+                corr = recover_pauli(css, css.recovery[int(err.support()[0])], err)
                 return residual_after_correction(css.ctx, err, corr).weight == 0
         elif model == "erasure":
             weight = args.weight if args.weight is not None else 1
@@ -205,7 +203,6 @@ def _simulate_code(built, args):
         if weight > obj.radius_blocks and not args.allow_overload:
             raise ValidationError(
                 f"weight {weight} blocks exceeds radius {obj.radius_blocks}; pass --allow-overload")
-        obj.build_decode_tables()
         within = weight <= obj.radius_blocks
 
         def sample(rng):
@@ -237,33 +234,16 @@ def _simulate_code(built, args):
     return meta, per_trial, successes, mean_ms
 
 
-def _single_qudit(ctx, n, i, rng) -> "PauliError":
-    from .css import PauliError
-
-    bx = np.zeros(n, dtype=np.int64)
-    bz = np.zeros(n, dtype=np.int64)
-    pair = int(rng.integers(1, ctx.q * ctx.q))
-    bx[i], bz[i] = pair % ctx.q, pair // ctx.q
-    return PauliError(bx, bz)
-
-
 def _block_error(ctx, n, s, weight_blocks, model, rng) -> "PauliError":
+    """``random_pauli`` on the n/s blocks of s qudits, each block's error put
+    on one uniformly drawn qudit of that block."""
     from .css import PauliError
 
-    blocks = rng.choice(n // s, size=weight_blocks, replace=False)
+    blocks = random_pauli(ctx, n // s, weight_blocks, model, rng)
+    slots = np.arange(0, n, s) + rng.integers(s, size=n // s)
     bx = np.zeros(n, dtype=np.int64)
     bz = np.zeros(n, dtype=np.int64)
-    for b in blocks.tolist():
-        j = b * s + int(rng.integers(s))
-        pair = int(rng.integers(1, ctx.q * ctx.q))
-        x, z = pair % ctx.q, pair // ctx.q
-        if model == "x-only":
-            x, z = max(x, 1), 0
-        elif model == "z-only":
-            x, z = 0, max(z, 1)
-        elif x == 0 and z == 0:
-            x = 1
-        bx[j], bz[j] = x, z
+    bx[slots], bz[slots] = blocks.bx, blocks.bz
     return PauliError(bx, bz)
 
 

@@ -49,6 +49,13 @@ def _check_tb_params(q: int, r: int, ell: int) -> None:
         raise BadDegree(f"ell={ell} must lie in [1, q-1] (degree < q-1 needed on GF(q)*)")
 
 
+def _check_qtb_params(q: int, r: int, ell: int) -> None:
+    """The Tamo-Barg checks, then 2*ell >= q, which the quantum support needs."""
+    _check_tb_params(q, r, ell)
+    if 2 * ell < q:
+        raise DegreeTooSmall(f"2*ell={2 * ell} < q={q}: the dual-support identity needs ell >= q/2")
+
+
 def support_tb(q: int, r: int, ell: int) -> tuple[int, ...]:
     """Exponents of the classical Tamo-Barg code: i < ell, i != r-1 mod r."""
     _check_tb_params(q, r, ell)
@@ -57,9 +64,7 @@ def support_tb(q: int, r: int, ell: int) -> tuple[int, ...]:
 
 def support_qtb(q: int, r: int, ell: int) -> tuple[int, ...]:
     """Tamo-Barg exponents plus every i = 1 mod r in [q-1]."""
-    _check_tb_params(q, r, ell)
-    if 2 * ell < q:
-        raise DegreeTooSmall(f"2*ell={2 * ell} < q={q}: the dual-support identity needs ell >= q/2")
+    _check_qtb_params(q, r, ell)
     s = set(support_tb(q, r, ell))
     s.update(i for i in range(q - 1) if i % r == 1)
     return tuple(sorted(s))
@@ -67,9 +72,7 @@ def support_qtb(q: int, r: int, ell: int) -> tuple[int, ...]:
 
 def support_qtb_dual(q: int, r: int, ell: int) -> tuple[int, ...]:
     """Exponent set of the dual of the quantum Tamo-Barg code."""
-    _check_tb_params(q, r, ell)
-    if 2 * ell < q:
-        raise DegreeTooSmall(f"2*ell={2 * ell} < q={q}: the dual-support identity needs ell >= q/2")
+    _check_qtb_params(q, r, ell)
     t = {i for i in range(1, q - ell) if i % r != r - 1}
     t.update(i for i in range(q - 1) if i % r == 1)
     return tuple(sorted(t))

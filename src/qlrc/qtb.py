@@ -25,20 +25,14 @@ import numpy as np
 
 from .classical import LinearCode, eval_code
 from .css import CssCode, RecoverySet, css_new
-from .errors import (
-    BadDegree,
-    BadLocality,
-    DegreeTooSmall,
-    FoldNotDividing,
-    SiblingErased,
-)
+from .errors import BadLocality, FoldNotDividing, SiblingErased
 from .gf import FieldCtx, _is_prime, coset_stride, field_from_order, matmul
-from .polycode import coset_index_groups, support_piecewise, support_qtb
+from .polycode import _check_qtb_params, coset_index_groups, support_piecewise, support_qtb
 
 
 def qtb_dim(q: int, r: int, ell: int) -> int:
     """Exact dimension: 1 + #{q-ell <= i <= ell-1 : i != +-1 mod r}."""
-    _check_params(q, r, ell, require_prime=False)
+    _check_qtb_params(q, r, ell)
     return 1 + sum(1 for i in range(q - ell, ell) if i % r not in (1, r - 1))
 
 
@@ -47,22 +41,6 @@ def qtb_dim_window(q: int, r: int, ell: int) -> tuple[int, float, float]:
     k = qtb_dim(q, r, ell)
     approx = (2 * ell - q) * (1 - 2 / r)
     return k, approx, k - approx
-
-
-def _check_params(q: int, r: int, ell: int, require_prime: bool,
-                  allow_composite: bool = False) -> None:
-    if r < 3:
-        raise BadLocality(f"locality r={r} must be >= 3")
-    if (q - 1) % r != 0:
-        raise BadLocality(f"r={r} must divide q-1={q - 1}")
-    if require_prime and not allow_composite and not _is_prime(r):
-        raise BadLocality(
-            f"r={r} is composite; the distance and decoding theorems need r prime "
-            "(pass allow_composite_locality=True to construct anyway)")
-    if not 1 <= ell <= q - 1:
-        raise BadDegree(f"ell={ell} must lie in [1, q-1]")
-    if 2 * ell < q:
-        raise DegreeTooSmall(f"2*ell={2 * ell} < q={q}: dual support undefined below q/2")
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,7 +90,11 @@ def _coset_checks(ctx: FieldCtx, r: int) -> tuple[RecoverySet, ...]:
 
 def qtb_new(q: int, r: int, ell: int, allow_composite_locality: bool = False) -> QtbCode:
     """Construct the quantum Tamo-Barg code CSS(C, C) with parameters q, r, ell."""
-    _check_params(q, r, ell, require_prime=True, allow_composite=allow_composite_locality)
+    _check_qtb_params(q, r, ell)
+    if not allow_composite_locality and not _is_prime(r):
+        raise BadLocality(
+            f"r={r} is composite; the distance and decoding theorems need r prime "
+            "(pass allow_composite_locality=True to construct anyway)")
     ctx = field_from_order(q)
     code = eval_code(ctx, support_qtb(q, r, ell))
     bperp = eval_code(ctx, support_piecewise(q, r))

@@ -211,11 +211,11 @@ def test_simulate_builds_decode_tables_before_the_timed_decodes(capsys, monkeypa
 
         monkeypatch.setattr(cli, name, call)
 
-    real_init, real_rref = ensembles._InnerDecoder.__init__, gf.rref
+    real_table, real_rref = ensembles._inner_decoder_cache, gf.rref
 
-    def init(self, ctx, mat, *args, **kwargs):
-        built.append(("_InnerDecoder", np.shape(mat)[1], bool(timed)))
-        real_init(self, ctx, mat, *args, **kwargs)
+    def table(ctx, parity):
+        built.append(("_inner_decoder_cache", np.shape(parity)[1], bool(timed)))
+        return real_table(ctx, parity)
 
     def rref(ctx, mat):
         built.append(("rref", np.shape(mat)[1], bool(timed)))
@@ -223,15 +223,32 @@ def test_simulate_builds_decode_tables_before_the_timed_decodes(capsys, monkeypa
 
     timing(decoder)
     timing("is_logical_identity")
-    monkeypatch.setattr(ensembles._InnerDecoder, "__init__", init)
+    monkeypatch.setattr(ensembles, "_inner_decoder_cache", table)
     for module in (gf, classical, ensembles):  # every binding of gf.rref
         monkeypatch.setattr(module, "rref", rref)
     code, out, err = run(capsys, "simulate", *flags, "--trials", "2")
     assert code == 0, err
     assert json.loads(out)["successes"] == 2
     assert not any(during for _, _, during in built)
-    assert [name for name, _, _ in built].count("_InnerDecoder") == inner_tables
+    assert [name for name, _, _ in built].count("_inner_decoder_cache") == inner_tables
     assert sum(name == "rref" and width >= n for name, width, _ in built) == eliminations
+
+
+@pytest.mark.parametrize("model,draw,other", [("x-only", "bx", "bz"), ("z-only", "bz", "bx")])
+def test_block_error_draws_each_nonzero_value_uniformly(model, draw, other):
+    from qlrc.cli import _block_error
+    from qlrc.gf import field_new
+
+    ctx = field_new(13)
+    rng = np.random.default_rng(13)
+    counts = np.zeros(13, dtype=np.int64)
+    for _ in range(1500):
+        err = _block_error(ctx, 24, 4, 3, model, rng)
+        hit = getattr(err, draw) != 0
+        assert err.block_weight(4) == 3 and err.weight == 3  # one qudit per block
+        assert not getattr(err, other).any()
+        counts += np.bincount(getattr(err, draw)[hit], minlength=13)
+    assert np.all(np.abs(counts[1:] * 12 / counts.sum() - 1) < 0.25)
 
 
 def test_simulate_allow_overload_counts_a_wrong_residual_within_the_radius_as_failed(
@@ -256,7 +273,7 @@ def test_simulate_allow_overload_counts_a_wrong_residual_within_the_radius_as_fa
 def test_ael_non_identity_residual_within_radius_exits_4(capsys, monkeypatch, argv):
     from qlrc import ensembles
 
-    def leave_the_error(code, word, side="z", inner_radius=1):  # corrects nothing
+    def leave_the_error(code, word, side="z"):  # corrects nothing
         return ensembles.AelDecodeResult(message=None, word=word, inner_failures=0)
 
     monkeypatch.setattr(ensembles, "ael_decode", leave_the_error)

@@ -35,6 +35,7 @@ from qlrc.ensembles import (
     stream_rng,
 )
 from qlrc.errors import (
+    CapExceeded,
     DecodeContractViolation,
     DecodingFailed,
     FoldingMismatch,
@@ -265,7 +266,7 @@ def _radius_one(code):
     """The fields of AelStandard that ael_quantum_decode reads."""
     from types import SimpleNamespace
 
-    return SimpleNamespace(code=code, inner_radius=1, radius_blocks=1)
+    return SimpleNamespace(code=code, radius_blocks=1)
 
 
 def test_ael_quantum_decode_flags_a_non_identity_residual_within_radius(small_ael, monkeypatch):
@@ -278,7 +279,7 @@ def test_ael_quantum_decode_flags_a_non_identity_residual_within_radius(small_ae
     assert is_logical_identity(small_ael.css, resid)
     assert not is_logical_identity(small_ael.css, err)
 
-    def leave_the_error(code, word, side="z", inner_radius=1):  # corrects nothing
+    def leave_the_error(code, word, side="z"):  # corrects nothing
         return ensembles.AelDecodeResult(message=None, word=word, inner_failures=0)
 
     monkeypatch.setattr(ensembles, "ael_decode", leave_the_error)
@@ -289,7 +290,7 @@ def test_ael_quantum_decode_flags_a_non_identity_residual_within_radius(small_ae
 def test_ael_quantum_decode_failure_is_a_violation_only_within_radius(small_ael, monkeypatch):
     from qlrc import ensembles
 
-    def fail(code, word, side="z", inner_radius=1):
+    def fail(code, word, side="z"):
         raise DecodingFailed("no codeword")
 
     monkeypatch.setattr(ensembles, "ael_decode", fail)
@@ -309,7 +310,7 @@ def test_ael_standard_build_and_radius():
     code = std.code
     assert code.n_qudits == 576 and code.delta == 24
     assert std.lam == 0.0  # complete bipartite routing
-    assert std.radius_blocks == 1
+    assert std.radius_blocks == 1 and std.inner_radius == 1
     assert code.rate == Fraction(code.outer.k, 24) * Fraction(code.inner.k, 24)
     assert code.locality == 72
     rng = np.random.default_rng(0)
@@ -320,19 +321,13 @@ def test_ael_standard_build_and_radius():
 
 
 def test_inner_tables_die_with_their_code():
-    # the inner syndrome tables are keyed by the code itself: a dropped code
-    # leaves none behind for a later code that reuses its id, and each new
-    # code (different inner code every time) decodes single-qudit errors
-    import gc
-
-    from qlrc import ensembles
-
+    # the inner syndrome tables are built with the code and held by it, so a
+    # new code (different inner code every time) never decodes with another
+    # code's table: each one decodes single-qudit errors on both sides
     f9 = field_new(3, 2)
     a = rs_code(f9, 5)
     outer = css_new(a, a)
     rng = np.random.default_rng(4)
-    gc.collect()
-    live_tables = len(ensembles._INNER_DECODERS)  # codes other tests keep alive
     for seed in (11, 12, 13, 11, 12, 13):
         inner = sample_qlrc_with_distance(12, 3, 1, 3, seed=seed, d_min=3)
         code = ael_build(outer, inner.css, ExpanderGraph.identity(8, 12), delta=12, r_in=3)
@@ -343,7 +338,46 @@ def test_inner_tables_die_with_their_code():
             w[i] = (w[i] + int(rng.integers(1, 3))) % 3
             out = ael_decode(code, w, side)
             assert np.array_equal(out.message, msg) and out.inner_failures == 0
-        assert ensembles._INNER_DECODERS.get(code) is not None
-        del code
-        gc.collect()
-        assert len(ensembles._INNER_DECODERS) == live_tables
+
+
+def test_ael_rejects_an_unknown_side(small_ael):
+    msg = np.zeros(small_ael.outer.k, dtype=np.int64)
+    with pytest.raises(ValidationError, match="side"):
+        ael_encode(small_ael, msg, "y")
+    with pytest.raises(ValidationError, match="side"):
+        ael_decode(small_ael, np.zeros(small_ael.n_qudits, dtype=np.int64), "y")
+
+
+def test_inner_table_matches_a_setdefault_oracle():
+    # the dict lookup the table replaced: leaders of weight <= 1 in
+    # (position, value) order, the first one kept per syndrome tuple
+    from qlrc.ensembles import _inner_decoder_cache
+
+    f5 = field_new(5)
+    rng = np.random.default_rng(8)
+    parity = rng.integers(0, 5, size=(4, 9))
+    parity[:, 3] = 2 * parity[:, 0] % 5  # errors at 0 and 3 share syndromes
+    parity[:, 6] = 0  # an error at 6 has the zero word's syndrome
+    oracle = {}
+    for e in np.vstack([np.zeros(9, dtype=np.int64), np.kron(np.eye(9, dtype=np.int64),
+                                                             np.arange(1, 5)[:, None])]):
+        oracle.setdefault(tuple(matmul(f5, parity, e).tolist()), e)
+    words = np.vstack([np.zeros((1, 9), dtype=np.int64),
+                       np.kron(np.eye(9, dtype=np.int64), np.arange(1, 5)[:, None]),
+                       rng.integers(0, 5, size=(400, 9))])
+    decoded, found = _inner_decoder_cache(f5, parity).decode(f5, words)
+    for word, got, hit in zip(words, decoded, found):
+        leader = oracle.get(tuple(matmul(f5, parity, word).tolist()))
+        assert hit == (leader is not None)
+        assert np.array_equal(got, word if leader is None else (word - leader) % 5)
+    assert not found.all() and found[:37].all()
+
+
+def test_inner_table_refuses_keys_beyond_int64():
+    from qlrc.ensembles import _inner_decoder_cache
+
+    f5 = field_new(5)
+    assert len(_inner_decoder_cache(f5, np.eye(27, 30, dtype=np.int64)).keys) == 1 + 27 * 4
+    with pytest.raises(CapExceeded) as info:
+        _inner_decoder_cache(f5, np.eye(28, 30, dtype=np.int64))
+    assert info.value.required == 5**28

@@ -426,7 +426,7 @@ def test_views_and_writeable_operands_are_never_prepared():
 
 
 def test_fixed_matrices_are_read_only():
-    from qlrc.ensembles import _InnerDecoder, logical_pair, random_qlrc
+    from qlrc.ensembles import _inner_decoder_cache, logical_pair, random_qlrc
     from qlrc.listdec import _idft_matrix
     from qlrc.polycode import eval_table
 
@@ -435,6 +435,6 @@ def test_fixed_matrices_are_read_only():
     pair = logical_pair(sample.css)
     fixed = [code.dual_basis, code.dual_space.pivot_basis, code.row_space.pivot_basis,
              RowSpace(ctx, code.basis).pivot_basis, _idft_matrix(ctx), eval_table(ctx, 6),
-             pair.lx, pair.lz, _InnerDecoder(ctx, np.array(sample.css.hz), 1).parity]
+             pair.lx, pair.lz, _inner_decoder_cache(ctx, np.array(sample.css.hz)).parity]
     for mat in fixed:
         assert not mat.flags.writeable and mat.base is None

@@ -61,6 +61,21 @@ def _referenced_names(tree: ast.Module) -> set[str]:
     return out
 
 
+def test_every_traced_name_resolves():
+    # perfbench/spans.py wraps qlrc functions by (module, name); parsed, not
+    # imported, so that a renamed function fails here and not only in perfbench
+    import importlib
+
+    spans = ast.parse((SRC.parents[1] / "perfbench" / "spans.py").read_text(encoding="utf-8"))
+    targets = next(node.value for node in spans.body
+                   if isinstance(node, ast.AnnAssign) and node.target.id == "TARGETS")
+    names = [(t.elts[0].value, t.elts[1].value) for t in targets.elts]
+    assert ("ensembles", "_inner_decoder_cache") in names
+    missing = [f"{mod}.{fn}" for mod, fn in names
+               if not callable(getattr(importlib.import_module(f"qlrc.{mod}"), fn, None))]
+    assert missing == []
+
+
 def test_every_private_definition_is_referenced():
     # a module-level _helper that nothing in the package names is dead code
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
