@@ -189,6 +189,12 @@ def residual_after_correction(ctx: FieldCtx, err: PauliError, corr: PauliError) 
     return PauliError(ctx.sub(err.bx, corr.bx), ctx.sub(err.bz, corr.bz))
 
 
+def check_error(code: CssCode, err: PauliError) -> None:
+    both = np.concatenate((err.bx, err.bz)).view(np.uint64)  # a negative entry wraps past q
+    if err.n != code.n or int(both.max()) >= code.ctx.q:
+        raise ValidationError(f"a Pauli error on this code has {code.n} entries in [0, {code.ctx.q})")
+
+
 def contract_decode(code: CssCode, err: PauliError,
                     dec_x: Callable[[np.ndarray], np.ndarray],
                     dec_z: Callable[[np.ndarray], np.ndarray],

@@ -38,7 +38,7 @@ from typing import Callable
 import numpy as np
 
 from .classical import LinearCode, min_weight_below, quotient_representatives, rs_code
-from .css import CssCode, PauliError, RecoverySet, contract_decode, css_new
+from .css import CssCode, PauliError, RecoverySet, check_error, contract_decode, css_new
 from .errors import (
     AlphabetMismatch,
     CapExceeded,
@@ -829,6 +829,7 @@ def ael_quantum_decode(std: AelStandard, err: PauliError) -> tuple[PauliError, P
     """Syndrome-driven Pauli correction through the two AEL classical decoders,
     under ``css.contract_decode`` with radius ``std.radius_blocks`` blocks."""
     code = std.code
+    check_error(code.css, err)
     return contract_decode(code.css, err, lambda t: ael_decode(code, t, "x").word,
                            lambda t: ael_decode(code, t, "z").word,
                            err.block_weight(code.delta), std.radius_blocks)

@@ -10,6 +10,12 @@ nonzero), and return the candidate closest to the input in distance to
 the piecewise-linear space. The folded variant differs only in calling
 the folded list decoder and the folded distance subroutine.
 
+Within the unique radius a list holds at most one codeword. For a candidate
+g already found, the i-th difference of (input - g's codeword) is the
+input's minus g's image, an RS codeword that maps back to g; when it is
+within the list radius, the list at shift i is exactly that image and no
+decode runs. Past the unique radius (Guruswami-Sudan) every shift is decoded.
+
 Effective radii are derived from the radius this build's list decoders
 actually achieve, never from the paper's asymptotic constants; the
 reported radius is additionally capped by the theorem radius, below which
@@ -26,7 +32,8 @@ from functools import lru_cache
 import numpy as np
 
 from .bounds import decode_radius_qtb, fqtb_distance_lower, frs_e_prime_for_radius
-from .css import PauliError, contract_decode
+from .classical import block_weight
+from .css import PauliError, check_error, contract_decode
 from .errors import DecodingFailed
 from .gf import FieldCtx, coset_stride
 from .listdec import (
@@ -90,7 +97,7 @@ def _shift_difference(ctx: FieldCtx, values: np.ndarray, r: int, i: int) -> np.n
     """w_r^-i * a(w_r^i x) - a(x), as an array in position order."""
     shift = i * coset_stride(ctx.q, r)
     wr_inv = ctx.units()[-shift % (ctx.q - 1)]
-    return ctx.sub(ctx.mul(wr_inv, np.roll(values, -shift)), values)
+    return ctx.sub(ctx.mul(wr_inv, np.concatenate((values[shift:], values[:shift]))), values)
 
 
 def _map_back(ctx: FieldCtx, coeffs: np.ndarray, r: int, i: int) -> np.ndarray | None:
@@ -118,45 +125,60 @@ class DecOutcome:
     candidates: int
     list_sizes: tuple[int, ...]
     rs_radius: int
+    decoded_shifts: tuple[int, ...]  # shifts whose list came from the list decoder
+
+
+def _certifier(q: int, ell: int, s: int, radius: int):
+    """``certify(diff)``: is a differenced word within ``radius`` blocks of s?
+    None past the unique radius, where a list may hold several codewords."""
+    if s * radius > (q - 1 - ell) // 2:
+        return None
+    return lambda diff: block_weight(diff, s) <= radius
 
 
 def _decode(code: QtbCode | FqtbCode, values: np.ndarray, list_decode, dist,
-            rs_radius: int, e: int | None) -> DecOutcome:
-    """The pipeline both decoders share: r-1 list decodes plus argmin.
+            rs_radius: int, e: int | None, certify) -> DecOutcome:
+    """The pipeline both decoders share: up to r-1 list decodes plus argmin.
 
     ``values`` is a word or its (n/s, s) blocks. ``list_decode(diff)`` lists
     the message polynomials near a differenced word of that shape, and
-    ``dist`` is the matching distance to the piecewise-linear space. When
-    ``e`` is given, callers promise dis(input, C) <= e and the output is
-    checked against the contract dis(output - input, dual) <= e, raising
-    DecodingFailed rather than ever returning silently wrong data.
+    ``dist`` is the matching distance to the piecewise-linear space. A shift
+    where some candidate's differenced residual passes ``certify`` is a
+    one-entry list of that candidate's image and is not decoded (see the
+    module docstring); ``certify`` is None in the Guruswami-Sudan regime,
+    where every shift is decoded. When ``e`` is given, callers promise
+    dis(input, C) <= e and the output is checked against the contract
+    dis(output - input, dual) <= e, raising DecodingFailed rather than ever
+    returning silently wrong data.
     """
     ctx, r = code.ctx, code.r
     values = np.asarray(values, dtype=np.int64)
-    candidates: dict[tuple, np.ndarray] = {}
-    list_sizes = []
+    flat = values.reshape(-1)
+    candidates: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}  # coeffs, codeword
+    list_sizes, decoded = [], []
     for i in range(1, r):
-        diff = _shift_difference(ctx, values.reshape(-1), r, i).reshape(values.shape)
-        polys = list_decode(diff)
+        if certify is not None and any(
+                certify(_shift_difference(ctx, ctx.sub(flat, word), r, i))
+                for _, word in candidates.values()):
+            list_sizes.append(1)
+            continue
+        decoded.append(i)
+        polys = list_decode(_shift_difference(ctx, flat, r, i).reshape(values.shape))
         list_sizes.append(len(polys))
         for g in polys:
             mapped = _map_back(ctx, g, r, i)
-            if mapped is not None:
-                candidates.setdefault(tuple(mapped.tolist()), mapped)
+            if mapped is not None and (key := tuple(mapped.tolist())) not in candidates:
+                candidates[key] = (mapped, evaluate_values(ctx, mapped))
     if not candidates:
         raise DecodingFailed("empty candidate list: input violated the decode radius")
-    best = None
-    for key in sorted(candidates):  # ties go to the smallest coefficient vector
-        word = evaluate_values(ctx, candidates[key]).reshape(values.shape)
-        d, _ = dist(ctx, ctx.sub(word, values), r)
-        if best is None or d < best[0]:
-            best = (d, word, candidates[key])
-    d, word, coeffs = best
+    d, _, coeffs, word = min(  # ties go to the smallest coefficient vector
+        (dist(ctx, ctx.sub(w, flat).reshape(values.shape), r)[0], key, c, w)
+        for key, (c, w) in candidates.items())
     if e is not None and d > e:
         raise DecodingFailed(f"best candidate at piecewise distance {d} > promised e={e}")
-    return DecOutcome(word=word, coeffs=coeffs, dual_distance=d,
+    return DecOutcome(word=word.reshape(values.shape), coeffs=coeffs, dual_distance=d,
                       candidates=len(candidates), list_sizes=tuple(list_sizes),
-                      rs_radius=rs_radius)
+                      rs_radius=rs_radius, decoded_shifts=tuple(decoded))
 
 
 @lru_cache(maxsize=None)
@@ -191,7 +213,7 @@ def dec_c(code: QtbCode, values: np.ndarray, e: int | None = None) -> DecOutcome
     rs_rad = best_feasible_radius_rs(code.q, ell, DEC_MULTIPLICITY_CAP)
     return _decode(code, values,
                    lambda diff: list_decode_rs(ctx, ell, diff, rs_rad, m_cap=DEC_MULTIPLICITY_CAP),
-                   dist_to_piecewise, rs_rad, e)
+                   dist_to_piecewise, rs_rad, e, _certifier(code.q, ell, 1, rs_rad))
 
 
 @lru_cache(maxsize=None)
@@ -210,7 +232,7 @@ def dec_c_folded(code: FqtbCode, blocks: np.ndarray, e: int | None = None) -> De
     ctx, ell, s = code.ctx, code.ell, code.s
     radius = frs_achieved_radius(code.q, ell, s).e
     return _decode(code, blocks, lambda diff: list_decode_frs(ctx, ell, s, diff, radius),
-                   dist_to_piecewise_folded, radius, e)
+                   dist_to_piecewise_folded, radius, e, _certifier(code.q, ell, s, radius))
 
 
 # -- quantum wrapper ----------------------------------------------------------------
@@ -227,6 +249,7 @@ def quantum_decode(code: QtbCode | FqtbCode, err: PauliError) -> tuple[PauliErro
     DecodeContractViolation to its own exit code)."""
     folded = isinstance(code, FqtbCode)
     css = code.base.css if folded else code.css
+    check_error(css, err)
     decoder, s = (dec_c_folded, code.s) if folded else (dec_c, 1)
     radius = quantum_decode_radius(code)
     weight = err.block_weight(s)

@@ -305,6 +305,16 @@ def test_ael_quantum_decode_failure_is_a_violation_only_within_radius(small_ael,
         assert type(info.value) is raised
 
 
+def test_ael_quantum_decode_rejects_a_malformed_error(small_ael):
+    n, q = small_ael.n_qudits, small_ael.ctx.q
+    zero = np.zeros(n, dtype=np.int64)
+    big = zero.copy()
+    big[7] = q
+    for err in (PauliError(zero[:-1], zero[:-1]), PauliError(zero, big)):
+        with pytest.raises(ValidationError):
+            ael_quantum_decode(_radius_one(small_ael), err)
+
+
 def test_ael_standard_build_and_radius():
     std = ael_standard_build(seed=101)
     code = std.code

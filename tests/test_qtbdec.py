@@ -9,8 +9,9 @@ import pytest
 from qlrc import qtbdec
 from qlrc.classical import eval_code, iter_codeword_chunks
 from qlrc.css import PauliError, is_logical_identity, random_pauli
-from qlrc.errors import DecodeContractViolation, DecodingFailed
+from qlrc.errors import DecodeContractViolation, DecodingFailed, ValidationError
 from qlrc.gf import field_from_order, field_new, root_of_unity
+from qlrc.listdec import best_feasible_radius_rs
 from qlrc.polycode import (
     DensePoly,
     evaluate,
@@ -259,6 +260,94 @@ def test_dec_c_folded_seeded_outputs_are_pinned():
         digest.update(repr((out.dual_distance, out.candidates, out.list_sizes,
                             out.rs_radius)).encode())
     assert digest.hexdigest() == FOLDED_DECODE_SHA256
+
+
+# sha256 of dec_c's outputs on the seeded words below, computed when every
+# shift was list-decoded; settling later shifts by an earlier shift's
+# candidate must reproduce it byte for byte
+DEC_C_SHA256 = "d1911cc5b076a8a6ba665ac8b9e18b567369de2e14be03313e253efa8b002062"
+DEC_C_WORDS = (((127, 3, 80), range(24)), ((61, 5, 31), range(16)), ((43, 7, 22), range(12)))
+
+
+def test_dec_c_seeded_outputs_are_pinned():
+    digest = hashlib.sha256()
+    for (q, r, ell), n_errs in DEC_C_WORDS:
+        code = qtb_new(q, r, ell)
+        for n_err in n_errs:
+            rng = np.random.default_rng(1000 * q + n_err)
+            word = code.code.random_codeword(rng)
+            bad = rng.choice(q - 1, size=n_err, replace=False)
+            word[bad] = code.ctx.add(word[bad], rng.integers(1, q, size=n_err))
+            try:
+                out = dec_c(code, word)
+            except DecodingFailed:
+                digest.update(b"failed")
+                continue
+            for a in (out.word, out.coeffs):
+                digest.update(np.ascontiguousarray(a, dtype=np.int64).tobytes())
+            digest.update(repr((out.dual_distance, out.candidates, out.list_sizes,
+                                out.rs_radius)).encode())
+    assert digest.hexdigest() == DEC_C_SHA256
+
+
+@pytest.mark.parametrize("q,r,ell,s", [(127, 3, 80, 1), (127, 3, 64, 2), (43, 7, 22, 1)])
+def test_within_the_radius_only_the_first_shift_is_decoded(q, r, ell, s):
+    # every later shift is settled by the first shift's candidate
+    code = fqtb_new(q, r, ell, s) if s > 1 else qtb_new(q, r, ell)
+    lin = code.base.code if s > 1 else code.code
+    e = quantum_decode_radius(code)
+    for t in range(8):
+        rng = np.random.default_rng(700 + t)
+        word = lin.random_codeword(rng)
+        bad = rng.choice(len(word) // s, size=e, replace=False)
+        blocks = word.reshape(-1, s)
+        blocks[bad] = code.ctx.add(blocks[bad], rng.integers(1, q, size=(e, s)))
+        out = dec_c_folded(code, blocks, e=e) if s > 1 else dec_c(code, word, e=e)
+        assert out.decoded_shifts == (1,)
+        assert out.list_sizes == (1,) * (r - 1)
+        assert out.dual_distance <= e
+
+
+def test_past_the_unique_radius_every_shift_is_decoded(monkeypatch):
+    # at multiplicity 4 the list radius 8 exceeds the unique radius 7: GS lists
+    # may hold several codewords, so no candidate settles another shift
+    monkeypatch.setattr(qtbdec, "DEC_MULTIPLICITY_CAP", 4)
+    assert best_feasible_radius_rs(31, 16, 4) == 8 > (30 - 16) // 2
+    code = qtb_new(31, 3, 16)
+    rng = np.random.default_rng(11)
+    for n_err in (0, 3):
+        word = code.code.random_codeword(rng)
+        bad = rng.choice(30, size=n_err, replace=False)
+        word[bad] = code.ctx.add(word[bad], rng.integers(1, 31, size=n_err))
+        out = dec_c(code, word)  # not quantum_decode: dec_c_radius is cached
+        assert out.decoded_shifts == (1, 2)
+        assert out.rs_radius == 8 and out.dual_distance == n_err
+
+
+def test_quantum_decode_runs_one_rs_decode_per_side(monkeypatch):
+    from qlrc import listdec
+
+    calls = []
+    real = listdec.rs_unique_decode
+    monkeypatch.setattr(listdec, "rs_unique_decode",
+                        lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
+    code = qtb_new(127, 3, 80)
+    err = random_pauli(code.ctx, 126, 10, "mixed", np.random.default_rng(8))
+    _, resid = quantum_decode(code, err)
+    assert is_logical_identity(code.css, resid)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("folded", [False, True])
+def test_quantum_decode_rejects_a_malformed_error(folded):
+    code = fqtb_new(13, 3, 8, 2) if folded else qtb_new(13, 3, 8)
+    zero = np.zeros(12, dtype=np.int64)
+    big, negative = zero.copy(), zero.copy()
+    big[3], negative[5] = 20, -1  # 20 is not an element of GF(13)
+    for err in (PauliError(zero[:10], zero[:10]), PauliError(big, zero),
+                PauliError(zero, negative)):
+        with pytest.raises(ValidationError):
+            quantum_decode(code, err)
 
 
 def test_quantum_decode_zero_error():
