@@ -145,8 +145,8 @@ def frs_code(ctx: FieldCtx, ell: int, s: int) -> FoldedCode:
 
 
 def block_weight(word: np.ndarray, s: int) -> int:
-    w = np.asarray(word)
-    return int(np.count_nonzero(np.any(w.reshape(-1, s) != 0, axis=1)))
+    """The number of length-s blocks of word with a nonzero entry."""
+    return int(np.count_nonzero(np.asarray(word).reshape(-1, s).any(axis=1)))
 
 
 # -- exhaustive enumeration ----------------------------------------------------

@@ -25,11 +25,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .classical import (
-    DEFAULT_CAP,
-    LinearCode,
-    min_weight_excluding,
-)
+from .classical import DEFAULT_CAP, LinearCode, block_weight, min_weight_excluding
 from .errors import (
     DecodeContractViolation,
     DecodingFailed,
@@ -65,8 +61,7 @@ class PauliError:
         return int(np.count_nonzero((self.bx != 0) | (self.bz != 0)))
 
     def block_weight(self, s: int) -> int:
-        hit = (self.bx != 0) | (self.bz != 0)
-        return int(np.count_nonzero(np.any(hit.reshape(-1, s), axis=1)))
+        return block_weight((self.bx != 0) | (self.bz != 0), s)
 
     def support(self) -> np.ndarray:
         return np.nonzero((self.bx != 0) | (self.bz != 0))[0]

@@ -47,7 +47,16 @@ other operand's digits. A read-only 2-D operand that owns its data (see
 dropped by a weakref callback when it dies; views are never cached. Only
 large primes, at K*(p-1)^2 >= 2**53, sum int64 products over row blocks.
 
-``rref`` is the one elimination. ``rank``, ``kernel``, ``nullspace``,
+``rref`` is the one elimination, Gauss-Jordan with delayed reduction. Over
+GF(p) each pivot step subtracts its rank-1 update in place from unreduced
+int64 entries, and only what the step reads is reduced mod p: the part of
+column c searched for a pivot, the pivot row before it is scaled, and the
+multiplier column. A bound on |entry| grows by (p-1)^2 a step; before it
+would pass 2**63 the whole active block is reduced, which is every step for
+p near 2**31 and never at GF(127) sizes. The pivot column is written as a
+unit vector, and R is reduced once at the end. An extension field has no
+such headroom (its entries are codes, not residues), so the same loop keeps
+them canonical with ``sub`` and ``mul``. ``rank``, ``kernel``, ``nullspace``,
 ``solve_right`` and ``RowSpace`` read their answers off its pivots with
 fancy indexing and ``matmul``; none of them loops over field elements.
 ``kernel`` reads the kernel off an RREF that is already in hand, so an owner
@@ -125,14 +134,11 @@ class FieldCtx:
         p = self.p
         if p == 2:
             return a ^ b
-        out = 0
-        pk = 1
-        ra, rb = a, b
+        out, pk = 0, 1
         for _ in range(self.m):
-            da, db = ra % p, rb % p
-            out = out + ((da - db) % p if sub else (da + db) % p) * pk
-            ra, rb = ra // p, rb // p
-            pk *= p
+            da, db = a % p, b % p
+            out = out + (da - db if sub else da + db) % p * pk
+            a, b, pk = a // p, b // p, pk * p
         return out
 
     def mul(self, a, b):
@@ -294,21 +300,13 @@ def _smallest_primitive_prime(p: int) -> int:
 
 def field_from_order(q: int) -> FieldCtx:
     """GF(q) for a prime power q, via field_new on its decomposition."""
-    if q < 2:
+    primes = _factorize(q)  # empty for q < 2
+    if len(primes) != 1:
         raise NonPrimeCharacteristic(f"q={q} is not a prime power")
-    for p in range(2, q + 1):
-        if q % p == 0:
-            m = 0
-            qq = q
-            while qq % p == 0:
-                qq //= p
-                m += 1
-            if qq != 1:
-                raise NonPrimeCharacteristic(f"q={q} is not a prime power")
-            return field_new(p, m)
-        if p * p > q:
-            break
-    return field_new(q, 1)
+    p, m = primes[0], 1
+    while p**m < q:
+        m += 1
+    return field_new(p, m)
 
 
 def coset_stride(q: int, r: int) -> int:
@@ -336,32 +334,43 @@ def coset(ctx: FieldCtx, r: int, x: int) -> frozenset[int]:
 def rref(ctx: FieldCtx, mat: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form. Returns (R, pivot_columns).
 
-    R has the same shape as ``mat``; zero rows sink to the bottom. When
-    column c is eliminated the pivot row is zero left of c, so only
-    columns c onward are updated.
+    R has the same shape as ``mat``; zero rows sink to the bottom. The pivot
+    row of column c is zero left of c, so only the columns after c are
+    updated. The module docstring says which entries are reduced, and when.
     """
     a = np.array(mat, dtype=np.int64, copy=True)
     rows, cols = a.shape
+    p, prime = ctx.p, ctx.m == 1
+    canon = (lambda x: x % p) if prime else (lambda x: x)
+    headroom, bound = (1 << 63) - 1 - (p - 1) ** 2, p - 1  # bound: max |entry| after the pivots
     pivots: list[int] = []
-    r = 0
     for c in range(cols):
-        if r >= rows:
+        r = len(pivots)
+        if r == rows:
             break
-        nz = np.nonzero(a[r:, c])[0]
+        below = canon(a[r:, c])
+        nz = below.nonzero()[0]
         if nz.size == 0:
             continue
-        i = r + int(nz[0])
+        i, scale = r + int(nz[0]), ctx.inv(below[nz[0]])
         if i != r:
             a[[r, i]] = a[[i, r]]
-        a[r, c:] = ctx.mul(a[r, c:], ctx.inv(a[r, c]))
-        col = a[:, c].copy()
+        row = ctx.mul(canon(a[r, c + 1:]), scale)
+        col = canon(a[:, c])
         col[r] = 0
-        mask = col != 0
-        if np.any(mask):
-            a[mask, c:] = ctx.sub(a[mask, c:], ctx.mul(col[mask, None], a[r, c:][None, :]))
+        hit = col.nonzero()[0]
+        hit = hit if 2 * hit.size <= rows else slice(None)  # dense: every row, in place
+        if prime:
+            if bound > headroom:
+                a[:, c + 1:] %= p
+                bound = p - 1
+            a[hit, c + 1:] -= col[hit, None] * row
+            bound += (p - 1) ** 2
+        else:
+            a[hit, c + 1:] = ctx.sub(a[hit, c + 1:], ctx.mul(col[hit, None], row))
+        a[:, c], a[r, c], a[r, c + 1:] = 0, 1, row
         pivots.append(c)
-        r += 1
-    return a, pivots
+    return canon(a), pivots
 
 
 def rank(ctx: FieldCtx, mat: np.ndarray) -> int:
@@ -371,10 +380,8 @@ def rank(ctx: FieldCtx, mat: np.ndarray) -> int:
 def kernel(ctx: FieldCtx, r: np.ndarray, pivots: list[int]) -> tuple[np.ndarray, list[int]]:
     """Kernel basis (as rows) of a matrix whose RREF is (r, pivots), and its
     free columns F: row j is 1 at F[j] and 0 at the other free columns."""
-    cols = r.shape[1]
-    taken = set(pivots)
-    free = [c for c in range(cols) if c not in taken]
-    basis = np.zeros((len(free), cols), dtype=np.int64)
+    free = sorted(set(range(r.shape[1])).difference(pivots))
+    basis = np.zeros((len(free), r.shape[1]), dtype=np.int64)
     basis[np.arange(len(free)), free] = 1
     basis[:, pivots] = ctx.neg(r[: len(pivots), free].T)
     return basis, free
@@ -387,11 +394,8 @@ def nullspace(ctx: FieldCtx, mat: np.ndarray) -> np.ndarray:
 
 def solve_right(ctx: FieldCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     """One solution x of a @ x = b, or None if inconsistent."""
-    a = np.asarray(a, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64)
-    aug = np.concatenate([a, b[:, None]], axis=1)
-    r, pivots = rref(ctx, aug)
-    cols = a.shape[1]
+    cols = np.shape(a)[1]
+    r, pivots = rref(ctx, np.column_stack([a, b]))
     if cols in pivots:
         return None
     x = np.zeros(cols, dtype=np.int64)

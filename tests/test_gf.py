@@ -230,6 +230,120 @@ def _column_combination(ctx, a, x):
     return out
 
 
+# GF(2), GF(7), GF(127), the large primes 2^27 - 39 and 2^31 - 1, GF(5^2), GF(2^3)
+RREF_FIELDS = [(2, 1), (7, 1), (127, 1), (2**27 - 39, 1), (2**31 - 1, 1), (5, 2), (2, 3)]
+
+
+def _rref_oracle(ctx, mat):
+    """(R, pivots) by scalar Gauss-Jordan on Python ints, one field operation
+    per entry; a prime field's arithmetic is Python's own ``%`` and ``pow``."""
+    a = [[int(x) for x in row] for row in np.asarray(mat)]
+    rows, cols = np.shape(mat)
+    if ctx.m == 1:
+        p = ctx.p
+        mul, sub = (lambda x, y: x * y % p), (lambda x, y: (x - y) % p)
+        inv = lambda x: pow(x, p - 2, p)
+    else:
+        mul, sub = (lambda x, y: int(ctx.mul(x, y))), (lambda x, y: int(ctx.sub(x, y)))
+        inv = lambda x: int(ctx.inv(x))
+    pivots, r = [], 0
+    for c in range(cols):
+        i = next((i for i in range(r, rows) if a[i][c]), None)
+        if i is None:
+            continue
+        a[r], a[i] = a[i], a[r]
+        s = inv(a[r][c])
+        a[r] = [mul(s, x) for x in a[r]]
+        for j in range(rows):
+            if j != r and a[j][c]:
+                f = a[j][c]
+                a[j] = [sub(x, mul(f, y)) for x, y in zip(a[j], a[r])]
+        pivots.append(c)
+        r += 1
+    return np.array(a, dtype=np.int64).reshape(rows, cols), pivots
+
+
+def _rref_shapes(ctx, rng):
+    """Seeded matrices: empty and zero, tall, wide, and rank-deficient ones."""
+    q = ctx.q
+    yield from (np.zeros((0, 4), dtype=np.int64), np.zeros((3, 0), dtype=np.int64),
+                np.zeros((4, 6), dtype=np.int64))
+    yield from (rng.integers(0, q, size=(9, 4)), rng.integers(0, q, size=(4, 11)),
+                rng.integers(0, q, size=(7, 7)))
+    low = matmul(ctx, rng.integers(0, q, size=(8, 3)), rng.integers(0, q, size=(3, 10)))
+    low[:, [2, 6]] = 0  # zero columns among dependent ones
+    yield low
+    yield np.full((5, 6), q - 1)
+
+
+def _gs_hasse_matrix(monkeypatch):
+    """The Hasse-derivative constraint matrix of RS(31,16) at e = 8, m = 4."""
+    from qlrc import listdec
+
+    ctx, seen = field_new(31), []
+    assert listdec.gs_multiplicity(31, 16, 8)[0] == 4
+    monkeypatch.setattr(listdec, "nullspace", lambda c, mat: seen.append(mat) or nullspace(c, mat))
+    listdec._guruswami_sudan(ctx, 16, np.random.default_rng(31).integers(0, 31, size=30), 8, 4)
+    monkeypatch.undo()
+    return ctx, seen[0]
+
+
+# sha256 of seeded (R, pivots) over RREF_FIELDS, plus the AEL Z-side
+# generator (290 x 576 over GF(5)) and an RS(31,16) m = 4 GS Hasse matrix,
+# computed with the elimination that reduced every entry at every step; an
+# RREF is unique, so any elimination must reproduce it byte for byte
+RREF_SHA256 = "089235bb448478a88e8ae29c7a6001c7414dec2d350a3ae48cc4b7f7ab735773"
+
+
+def test_rref_outputs_are_pinned(monkeypatch):
+    from qlrc.ensembles import ael_standard_build
+
+    cases = []
+    for p, m in RREF_FIELDS:
+        ctx = field_new(p, m)
+        cases.extend((ctx, mat) for mat in _rref_shapes(ctx, np.random.default_rng(p + m)))
+    cases.append((field_new(5), ael_standard_build(seed=90).code.css.cz.basis))
+    cases.append(_gs_hasse_matrix(monkeypatch))
+    digest = hashlib.sha256()
+    for ctx, mat in cases:
+        r, pivots = rref(ctx, mat)
+        digest.update(repr((ctx.q, r.dtype.str, r.shape, pivots)).encode() + r.tobytes())
+    assert cases[-2][1].shape == (290, 576) and cases[-1][1].shape == (300, 303)
+    assert digest.hexdigest() == RREF_SHA256
+
+
+@pytest.mark.parametrize("p,m", RREF_FIELDS)
+def test_rref_matches_scalar_oracle(p, m):
+    ctx = field_new(p, m)
+    rng = np.random.default_rng(10 * p + m)
+    mats = list(_rref_shapes(ctx, rng)) + [rng.integers(0, ctx.q, size=(12, 12))]
+    if m == 1:  # rank 1: 1 - (p-1)^2 is a nonzero multiple of p
+        mats.append(np.array([[1, p - 1], [p - 1, 1]]))
+    for mat in mats:
+        r, pivots = rref(ctx, mat)
+        want, want_pivots = _rref_oracle(ctx, mat)
+        assert pivots == want_pivots and np.array_equal(r, want), mat.shape
+    if m == 1:
+        assert rank(ctx, [[1, p - 1], [p - 1, 1]]) == 1
+
+
+def test_rref_matches_scalar_oracle_when_headroom_runs_out():
+    # 64 updates of up to (p-1)^2 > 2^58 each pass 2^63 about halfway through.
+    # Random entries stay far below the bound; under a unit lower triangle of
+    # p - 1 every multiplier is p - 1, so the last columns do overflow int64
+    # unless the block is reduced on the way.
+    p = 536870909
+    ctx = field_new(p)
+    assert 64 * (p - 1) ** 2 > 1 << 63
+    rng = np.random.default_rng(29)
+    low = np.tril(np.full((64, 64), p - 1), -1) + np.eye(64, dtype=np.int64)
+    for mat in (rng.integers(0, p, size=(64, 64)), rng.integers(p - 3, p, size=(64, 70)),
+                np.hstack([low, np.full((64, 6), p - 1)])):
+        r, pivots = rref(ctx, mat)
+        want, want_pivots = _rref_oracle(ctx, mat)
+        assert pivots == want_pivots and np.array_equal(r, want)
+
+
 def test_rowspace_membership_and_reduce():
     ctx = field_new(13)
     basis = np.array([[1, 2, 3, 4], [0, 1, 1, 1]])
