@@ -34,7 +34,7 @@ from .errors import (
     NotASubcode,
     ZeroPivot,
 )
-from .gf import FieldCtx, RowSpace, kernel, matmul, rank, rref, solve_right
+from .gf import FieldCtx, RowSpace, kernel, matmul, rref, solve_right
 from .polycode import powers, support_tb
 
 DEFAULT_CAP = 1 << 30
@@ -326,9 +326,9 @@ def erasure_decode(code: LinearCode, values: np.ndarray, erased: np.ndarray) -> 
     erased = np.asarray(erased, dtype=bool)
     keep = ~erased
     g_keep = code.basis[:, keep]
-    if rank(ctx, g_keep) < code.dim:
+    msg, ker = solve_right(ctx, g_keep.T, values[keep])
+    if len(ker):
         raise AmbiguousErasure(f"{int(erased.sum())} erasures leave a free message subspace")
-    msg = solve_right(ctx, g_keep.T, values[keep])
     if msg is None:
         raise InconsistentErasure("unerased positions match no codeword")
     return encode(ctx, code.basis, msg)

@@ -64,10 +64,6 @@ class DegreeTooSmall(ValidationError):
     pass
 
 
-class DegreeOverflow(ValidationError):
-    pass
-
-
 class FoldMismatch(ValidationError):
     pass
 

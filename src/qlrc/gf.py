@@ -392,15 +392,18 @@ def nullspace(ctx: FieldCtx, mat: np.ndarray) -> np.ndarray:
     return kernel(ctx, *rref(ctx, np.asarray(mat, dtype=np.int64)))[0]
 
 
-def solve_right(ctx: FieldCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
-    """One solution x of a @ x = b, or None if inconsistent."""
+def solve_right(ctx: FieldCtx, a: np.ndarray,
+                b: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
+    """(x, K): one solution x of a @ x = b (None if inconsistent) and the kernel
+    basis K of a (as ``nullspace`` gives it), both read off one RREF of [a | b]."""
     cols = np.shape(a)[1]
     r, pivots = rref(ctx, np.column_stack([a, b]))
+    ker = kernel(ctx, r[:, :cols], [c for c in pivots if c < cols])[0]
     if cols in pivots:
-        return None
+        return None, ker
     x = np.zeros(cols, dtype=np.int64)
     x[pivots] = r[: len(pivots), cols]
-    return x
+    return x, ker
 
 
 def frozen(a: np.ndarray) -> np.ndarray:

@@ -435,10 +435,9 @@ def list_decode_frs(ctx: FieldCtx, ell: int, s: int, blocks: np.ndarray, e: int)
     big = big.reshape(-1, ell)
     rhs = ctx.neg(ker[:, :a0_cols]).reshape(-1)
 
-    part = solve_right(ctx, big, rhs)
+    part, ker_f = solve_right(ctx, big, rhs)
     if part is None:
         return []
-    ker_f = nullspace(ctx, big)
     dim = ker_f.shape[0]
     if ctx.q**dim > FRS_ENUM_CAP:
         raise CapExceeded(f"folded candidate space has dimension {dim}", required=ctx.q**dim)

@@ -1,4 +1,4 @@
-"""Monomial-support polynomial spaces, the evaluation map, and folding.
+"""Monomial-support polynomial spaces, the evaluation map, and reduction mod X^r - c.
 
 Positions are fixed once and for all: position i of every length-(q-1)
 word is the evaluation point omega^i, for the canonical generator omega of
@@ -12,18 +12,19 @@ the degree cutoff, and the quantum set adds back every exponent congruent
 to 1 mod r so that the resulting evaluation code contains the dual it
 needs for the CSS condition.
 
-Evaluation is linear algebra: ``powers(ctx, exps)`` gathers the matrix whose
+A polynomial is its coefficient array, entry i the coefficient of X^i, and
+evaluation is linear algebra: ``powers(ctx, exps)`` gathers the matrix whose
 row a holds x^exps[a] at every position (``units[(exps[a] * j) mod (q-1)]``),
 so an evaluation code's basis is one gather and ``evaluate_values`` is one
-``gf.matmul`` of the coefficients with ``eval_table``, that gather cached.
+``gf.matmul`` of the coefficients (one polynomial per row) with
+``eval_table``, that gather cached.
 ``element_powers`` gathers the powers of a single element the same way, so
-evaluating a ``DensePoly`` at a point and ``mod_reduce`` (the sum of the
+evaluating a polynomial at one point and ``mod_reduce`` (the sum of the
 length-r chunks weighted by c^j) are one product each.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
@@ -32,9 +33,7 @@ import numpy as np
 from .errors import (
     BadDegree,
     BadLocality,
-    DegreeOverflow,
     DegreeTooSmall,
-    FoldMismatch,
     ZeroShift,
 )
 from .gf import FieldCtx, coset_stride, frozen, matmul
@@ -85,72 +84,6 @@ def support_piecewise(q: int, r: int) -> tuple[int, ...]:
     return tuple(i for i in range(q - 1) if i % r == 1)
 
 
-@dataclass(frozen=True)
-class DensePoly:
-    """Coefficient vector indexed by exponent, trailing zeros trimmed."""
-
-    ctx: FieldCtx
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=np.int64)
-        nz = np.nonzero(c)[0]
-        c = c[: int(nz[-1]) + 1].copy() if nz.size else np.zeros(0, dtype=np.int64)
-        c.setflags(write=False)
-        object.__setattr__(self, "coeffs", c)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1  # -1 for the zero polynomial
-
-    def __call__(self, x: int) -> int:
-        return int(matmul(self.ctx, self.coeffs, element_powers(self.ctx, x, len(self.coeffs))))
-
-    def key(self) -> tuple[int, ...]:
-        """Canonical tie-break key: the coefficient tuple."""
-        return tuple(self.coeffs.tolist())
-
-
-@dataclass(frozen=True)
-class EvalWord:
-    """A word of length q-1; value at index i is the evaluation at omega^i."""
-
-    ctx: FieldCtx
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.int64)
-        if v.shape != (self.ctx.q - 1,):
-            raise ValueError(f"expected length {self.ctx.q - 1}, got {v.shape}")
-        v = v.copy()
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-
-    def weight(self) -> int:
-        return int(np.count_nonzero(self.values))
-
-
-@dataclass(frozen=True)
-class FoldedWord:
-    """(q-1)/s blocks of s consecutive positions each."""
-
-    ctx: FieldCtx
-    s: int
-    blocks: np.ndarray
-
-    def __post_init__(self):
-        b = np.asarray(self.blocks, dtype=np.int64)
-        n = self.ctx.q - 1
-        if n % self.s != 0 or b.shape != (n // self.s, self.s):
-            raise FoldMismatch(f"expected shape {(n // self.s, self.s)}, got {b.shape}")
-        b = b.copy()
-        b.setflags(write=False)
-        object.__setattr__(self, "blocks", b)
-
-    def block_weight(self) -> int:
-        return int(np.count_nonzero(np.any(self.blocks != 0, axis=1)))
-
-
 def powers(ctx: FieldCtx, exps: Sequence[int] | np.ndarray) -> np.ndarray:
     """Row a is x^exps[a] evaluated at every position x = omega^j."""
     exps = np.asarray(exps, dtype=np.int64)
@@ -172,38 +105,19 @@ def element_powers(ctx: FieldCtx, x: int, k: int) -> np.ndarray:
     return ctx.units()[np.arange(k) * j % (ctx.q - 1)]
 
 
-def evaluate(f: DensePoly) -> EvalWord:
-    """Evaluate on all of GF(q)* in position order."""
-    if f.degree >= f.ctx.q - 1:
-        raise DegreeOverflow(f"degree {f.degree} >= q-1 = {f.ctx.q - 1}")
-    return EvalWord(f.ctx, evaluate_values(f.ctx, f.coeffs))
-
-
 def evaluate_values(ctx: FieldCtx, coeffs: np.ndarray) -> np.ndarray:
-    """Raw-array variant of evaluate; a 2-D ``coeffs`` evaluates each row."""
+    """``coeffs`` evaluated on GF(q)* in position order; a 2-D ``coeffs`` evaluates each row."""
     coeffs = np.asarray(coeffs, dtype=np.int64)
     return matmul(ctx, coeffs, eval_table(ctx, coeffs.shape[-1]))
 
 
-def fold(w: EvalWord, s: int) -> FoldedWord:
-    n = w.ctx.q - 1
-    if n % s != 0:
-        raise FoldMismatch(f"s={s} does not divide q-1={n}")
-    return FoldedWord(w.ctx, s, w.values.reshape(n // s, s))
-
-
-def unfold(fw: FoldedWord) -> EvalWord:
-    return EvalWord(fw.ctx, fw.blocks.reshape(-1))
-
-
-def mod_reduce(f: DensePoly, r: int, c: int) -> DensePoly:
-    """Reduce f modulo X^r - c; agrees with f wherever x^r = c."""
+def mod_reduce(ctx: FieldCtx, coeffs: np.ndarray, r: int, c: int) -> np.ndarray:
+    """``coeffs`` modulo X^r - c, as r coefficients; it agrees with ``coeffs`` wherever x^r = c."""
     if c == 0:
         raise ZeroShift("reduction modulus X^r - c needs c != 0")
-    ctx = f.ctx
-    chunks = np.zeros((-(-len(f.coeffs) // r), r), dtype=np.int64)  # row j: X^(jr) .. X^(jr+r-1)
-    chunks.flat[: len(f.coeffs)] = f.coeffs
-    return DensePoly(ctx, matmul(ctx, element_powers(ctx, c, len(chunks)), chunks))
+    chunks = np.zeros((-(-len(coeffs) // r), r), dtype=np.int64)  # row j: X^(jr) .. X^(jr+r-1)
+    chunks.flat[: len(coeffs)] = coeffs
+    return matmul(ctx, element_powers(ctx, c, len(chunks)), chunks)
 
 
 # -- positional structure -------------------------------------------------------

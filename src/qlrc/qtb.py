@@ -165,12 +165,6 @@ def fqtb_new(q: int, r: int, ell: int, s: int,
     return FqtbCode(base=base, s=s)
 
 
-def is_piecewise_linear(ctx: FieldCtx, values: np.ndarray, r: int) -> bool:
-    """Whether the word is beta*x on every coset x*Omega_r (some beta per coset)."""
-    slopes = ctx.div(np.asarray(values, dtype=np.int64), ctx.units()).reshape(r, -1)
-    return bool(np.all(slopes == slopes[0]))  # column g: the slopes on coset g
-
-
 def fqtb_recover_block(code: FqtbCode, blocks: np.ndarray, block: int,
                        erased: set[int] | frozenset[int] = frozenset()) -> np.ndarray:
     """Rebuild one folded block from its r-1 sibling blocks.

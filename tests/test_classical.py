@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from qlrc.classical import (
+    FoldedCode,
     LinearCode,
     block_weight,
     erasure_decode,
@@ -25,15 +26,14 @@ from qlrc.errors import (
     AmbiguousErasure,
     CapExceeded,
     CheckNotInDual,
+    FoldMismatch,
     InconsistentErasure,
     NotASubcode,
     ZeroPivot,
 )
 from qlrc.gf import field_from_order, field_new, matmul, rank, rref
 from qlrc.polycode import (
-    DensePoly,
     coset_index_groups,
-    evaluate,
     evaluate_values,
     support_qtb,
     support_qtb_dual,
@@ -222,6 +222,8 @@ def test_folded_rs_block_distance():
     # achieved by a codeword whose 7 roots fill 3 blocks and half a fourth
     fc = frs_code(F13, 8, 2)
     assert fc.block_count == 6
+    with pytest.raises(FoldMismatch):  # 5 does not divide n = 12
+        FoldedCode(rs_code(F13, 2), 5)
     units = F13.units()
     coeffs = np.array([1], dtype=np.int64)
     for root in units[:7].tolist():  # positions 0..6 = blocks 0,1,2 + half of 3
@@ -294,7 +296,7 @@ def test_local_recover_coset_sum_all_ones():
 def test_local_recover_cube_example():
     # ev(X^3) takes value 8 on the whole coset {2,5,6}
     code = eval_code(F13, support_qtb(13, 3, 8))
-    word = evaluate(DensePoly(F13, [0, 0, 0, 1])).values
+    word = evaluate_values(F13, [0, 0, 0, 1])
     units = F13.units()
     groups = coset_index_groups(13, 3)
     g = next(g for g in groups if {int(units[j]) for j in g.tolist()} == {2, 5, 6})

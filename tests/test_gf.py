@@ -211,15 +211,19 @@ def test_linear_algebra_roundtrips(p, m):
                 out = ctx.add(out, ctx.mul(int(row[j]), a[:, j]))
             assert not np.any(out)
         b = _column_combination(ctx, a, rng.integers(0, ctx.q, size=7))
-        sol = solve_right(ctx, a, b)
+        sol, ker = solve_right(ctx, a, b)
         assert sol is not None
         assert np.array_equal(_column_combination(ctx, a, sol), b)
+        assert np.array_equal(ker, ns)
         # row 3 = row 0 + row 1, and b breaks that relation: no solution
         dep = a.copy()
         dep[3] = ctx.add(dep[0], dep[1])
         bad = _column_combination(ctx, dep, rng.integers(0, ctx.q, size=7))
         bad[3] = ctx.add(int(bad[3]), 1)
-        assert solve_right(ctx, dep, bad) is None
+        sol, ker = solve_right(ctx, dep, bad)
+        assert sol is None
+        assert np.array_equal(ker, nullspace(ctx, dep))
+        assert ker.shape[0] >= 4  # dep has rank <= 3
 
 
 def _column_combination(ctx, a, x):

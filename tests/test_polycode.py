@@ -1,26 +1,22 @@
-"""Support sets, evaluation, folding, and modular reduction."""
+"""Support sets, evaluation, and modular reduction."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qlrc.errors import BadDegree, BadLocality, DegreeTooSmall, FoldMismatch, ZeroShift
-from qlrc.gf import coset, field_from_order, field_new, rank
+from qlrc.errors import BadDegree, BadLocality, DegreeTooSmall, ZeroShift
+from qlrc.gf import coset, field_from_order, field_new, matmul, rank
 from qlrc.polycode import (
-    DensePoly,
-    EvalWord,
     coset_index_groups,
-    evaluate,
+    element_powers,
     evaluate_values,
-    fold,
     mod_reduce,
     powers,
     support_piecewise,
     support_qtb,
     support_qtb_dual,
     support_tb,
-    unfold,
 )
 
 
@@ -88,9 +84,9 @@ def test_qtb_requires_large_ell():
 
 def test_evaluate_constant_and_linear():
     f13 = field_new(13)
-    assert evaluate(DensePoly(f13, [1])).values.tolist() == [1] * 12
+    assert evaluate_values(f13, [1]).tolist() == [1] * 12
     f7 = field_new(7)
-    assert evaluate(DensePoly(f7, [0, 1])).values.tolist() == [1, 3, 2, 6, 4, 5]
+    assert evaluate_values(f7, [0, 1]).tolist() == [1, 3, 2, 6, 4, 5]
 
 
 @pytest.mark.parametrize("q", [4, 5, 7, 8, 9, 11, 13])
@@ -145,61 +141,40 @@ def test_evaluate_injective_exhaustive_tiny():
                     seen.add(w)
 
 
-def test_fold_identity_reshape_and_roundtrip():
-    f13 = field_new(13)
-    w = evaluate(DensePoly(f13, [0, 1]))
-    f1 = fold(w, 1)
-    assert f1.blocks.shape == (12, 1)
-    assert np.array_equal(unfold(f1).values, w.values)
-    f2 = fold(w, 2)
-    assert f2.blocks.shape == (6, 2)
-    assert np.array_equal(unfold(f2).values, w.values)
-    with pytest.raises(FoldMismatch):
-        fold(w, 5)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 10**9), st.sampled_from([1, 2, 3, 4, 6, 12]))
-def test_fold_unfold_roundtrip_property(seed, s):
-    f13 = field_new(13)
-    rng = np.random.default_rng(seed)
-    w = EvalWord(f13, rng.integers(0, 13, size=12))
-    assert np.array_equal(unfold(fold(w, s)).values, w.values)
-
-
 def test_mod_reduce_monomial_example():
     # X^(r+1) = X * X^r = c X modulo X^r - c
     f13 = field_new(13)
     r = 3
     for c in (1, 5, 8):
-        f = DensePoly(f13, [0, 0, 0, 0, 1])  # X^4
-        g = mod_reduce(f, r, c)
-        expect = np.zeros(2, dtype=np.int64)
-        expect[1] = c
-        assert g.coeffs.tolist() == expect.tolist()
+        g = mod_reduce(f13, [0, 0, 0, 0, 1], r, c)  # X^4
+        assert g.tolist() == [0, c, 0]
 
 
 def test_mod_reduce_already_reduced():
     f13 = field_new(13)
-    f = DensePoly(f13, [1, 0, 1])  # X^2 + 1, degree < r
-    g = mod_reduce(f, 3, 8)
-    assert g.coeffs.tolist() == [1, 0, 1]
+    g = mod_reduce(f13, [1, 0, 1], 3, 8)  # X^2 + 1, degree < r
+    assert g.tolist() == [1, 0, 1]
 
 
-def test_mod_reduce_pointwise_oracle():
-    f13 = field_new(13)
+def _at(ctx, coeffs, x):
+    """The polynomial ``coeffs`` evaluated at the element x."""
+    return int(matmul(ctx, coeffs, element_powers(ctx, x, len(coeffs))))
+
+
+@pytest.mark.parametrize("q", [13, 16, 25])
+def test_mod_reduce_pointwise_oracle(q):
+    ctx = field_from_order(q)
     rng = np.random.default_rng(4)
     for _ in range(40):
-        coeffs = rng.integers(0, 13, size=int(rng.integers(1, 12)))
-        f = DensePoly(f13, coeffs)
-        x0 = int(rng.integers(1, 13))
-        c = f13.pow(x0, 3)
-        g = mod_reduce(f, 3, c)
-        assert g.degree < 3
-        for x in coset(f13, 3, x0):
-            assert f(x) == g(x)
+        coeffs = rng.integers(0, q, size=int(rng.integers(1, q - 1)))
+        x0 = int(rng.integers(1, q))
+        c = ctx.pow(x0, 3)
+        g = mod_reduce(ctx, coeffs, 3, c)
+        assert g.shape == (3,)  # degree < 3
+        for x in coset(ctx, 3, x0):
+            assert _at(ctx, coeffs, x) == _at(ctx, g, x)
     with pytest.raises(ZeroShift):
-        mod_reduce(DensePoly(f13, [1]), 3, 0)
+        mod_reduce(ctx, [1], 3, 0)
 
 
 @pytest.mark.parametrize("q,r", [(13, 3), (7, 3), (16, 5)])

@@ -6,16 +6,16 @@ import pytest
 from qlrc.classical import min_weight_excluding
 from qlrc.errors import BadLocality, DegreeTooSmall, FoldNotDividing, SiblingErased
 from qlrc.gf import field_new
-from qlrc.polycode import DensePoly, evaluate, fold
+from qlrc.polycode import evaluate_values
 from qlrc.qtb import (
     FqtbCode,
     fqtb_new,
     fqtb_recover_block,
-    is_piecewise_linear,
     qtb_dim,
     qtb_dim_window,
     qtb_new,
 )
+from qlrc.qtbdec import dist_to_piecewise
 
 F13 = field_new(13)
 
@@ -117,12 +117,17 @@ def test_folded_distance_sandwich_on_small_code():
     assert (d + 1) // 2 <= d_folded <= d
 
 
-def test_is_piecewise_linear_examples():
-    assert is_piecewise_linear(F13, evaluate(DensePoly(F13, [0, 1])).values, 3)
+def _is_piecewise(w):
+    """Whether w is beta*x on every coset x*Omega_3: distance 0 to that space."""
+    return dist_to_piecewise(F13, w, 3)[0] == 0
+
+
+def test_is_piecewise_examples():
+    assert _is_piecewise(evaluate_values(F13, [0, 1]))
     x4 = np.zeros(5, dtype=np.int64)
     x4[4] = 1
-    assert is_piecewise_linear(F13, evaluate(DensePoly(F13, x4)).values, 3)
-    assert not is_piecewise_linear(F13, evaluate(DensePoly(F13, [0, 0, 1])).values, 3)
+    assert _is_piecewise(evaluate_values(F13, x4))
+    assert not _is_piecewise(evaluate_values(F13, [0, 0, 1]))
 
 
 def test_is_piecewise_matches_membership():
@@ -130,13 +135,13 @@ def test_is_piecewise_matches_membership():
     rng = np.random.default_rng(0)
     for _ in range(50):
         w = rng.integers(0, 13, size=12)
-        assert is_piecewise_linear(F13, w, 3) == code.bperp.contains(w)
+        assert _is_piecewise(w) == code.bperp.contains(w)
     piecewise = code.bperp.random_codeword(rng)
-    assert is_piecewise_linear(F13, piecewise, 3)
+    assert _is_piecewise(piecewise)
     for i in range(12):  # piecewise on every coset but the one holding position i
         w = piecewise.copy()
         w[i] = (w[i] + 1) % 13
-        assert not is_piecewise_linear(F13, w, 3)
+        assert not _is_piecewise(w)
 
 
 def test_fqtb_recover_block_all_ones():
@@ -152,7 +157,7 @@ def test_fqtb_recover_block_random_trials():
     rng = np.random.default_rng(9)
     lin = code.base.css.cx
     for _ in range(300):
-        w = fold(evaluate(DensePoly(F13, _random_message(rng, code))), 2).blocks
+        w = evaluate_values(F13, _random_message(rng, code)).reshape(-1, 2)
         b = int(rng.integers(6))
         rec = fqtb_recover_block(code, w, b, erased={b})
         assert np.array_equal(rec, w[b])

@@ -12,12 +12,7 @@ from qlrc.css import PauliError, is_logical_identity, random_pauli
 from qlrc.errors import DecodeContractViolation, DecodingFailed, ValidationError
 from qlrc.gf import field_from_order, field_new, root_of_unity
 from qlrc.listdec import best_feasible_radius_rs
-from qlrc.polycode import (
-    DensePoly,
-    evaluate,
-    evaluate_values,
-    support_piecewise,
-)
+from qlrc.polycode import evaluate_values, support_piecewise
 from qlrc.qtb import fqtb_new, qtb_new
 from qlrc.qtbdec import (
     DecOutcome,
@@ -43,7 +38,7 @@ def piecewise_words():
 
 
 def test_dist_to_piecewise_members_and_flip(piecewise_words):
-    w = evaluate(DensePoly(F13, [0, 1])).values
+    w = evaluate_values(F13, [0, 1])
     d, wit = dist_to_piecewise(F13, w, 3)
     assert d == 0 and np.array_equal(wit, w)
     w2 = w.copy()
@@ -54,7 +49,7 @@ def test_dist_to_piecewise_members_and_flip(piecewise_words):
 
 def test_dist_to_piecewise_matches_brute(piecewise_words):
     rng = np.random.default_rng(0)
-    sq = evaluate(DensePoly(F13, [0, 0, 1])).values
+    sq = evaluate_values(F13, [0, 0, 1])
     targets = [sq] + [rng.integers(0, 13, size=12) for _ in range(40)]
     for w in targets:
         d, wit = dist_to_piecewise(F13, w, 3)
@@ -65,7 +60,7 @@ def test_dist_to_piecewise_matches_brute(piecewise_words):
 
 def test_dist_to_piecewise_folded_matches_brute(piecewise_words):
     rng = np.random.default_rng(1)
-    w = evaluate(DensePoly(F13, [0, 1])).values
+    w = evaluate_values(F13, [0, 1])
     folded_targets = [w] + [rng.integers(0, 13, size=12) for _ in range(40)]
     for t in folded_targets:
         d, wit = dist_to_piecewise_folded(F13, t.reshape(6, 2), 3)
@@ -75,7 +70,7 @@ def test_dist_to_piecewise_folded_matches_brute(piecewise_words):
 
 
 def test_dist_to_piecewise_folded_one_block_corruption():
-    w = evaluate(DensePoly(F13, [0, 1])).values
+    w = evaluate_values(F13, [0, 1])
     blocks = w.reshape(6, 2).copy()
     blocks[2, 0] = (blocks[2, 0] + 1) % 13
     d, _ = dist_to_piecewise_folded(F13, blocks, 3)

@@ -48,17 +48,20 @@ def _private_definitions(tree: ast.Module) -> list[str]:
             and node.name.startswith("_") and not node.name.startswith("__")]
 
 
-def _referenced_names(tree: ast.Module) -> set[str]:
-    """Names read anywhere in the module: bare names, attributes, and imported names."""
+def _imported_names(tree: ast.AST) -> set[str]:
+    """Names read from other modules: ``from .m import name`` and ``m.name``."""
     out = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            out.add(node.id)
+        if isinstance(node, ast.ImportFrom):
+            out.update(alias.name for alias in node.names)
         elif isinstance(node, ast.Attribute):
             out.add(node.attr)
-        elif isinstance(node, ast.ImportFrom):
-            out.update(alias.name for alias in node.names)
     return out
+
+
+def _referenced_names(tree: ast.AST) -> set[str]:
+    """Names read anywhere in the tree: bare names, attributes, and imported names."""
+    return _imported_names(tree) | {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
 
 
 def test_every_traced_name_resolves():
@@ -83,4 +86,53 @@ def test_every_private_definition_is_referenced():
     referenced = set().union(*(_referenced_names(tree) for tree in trees.values()))
     dead = [f"{name}:{fn}" for name, tree in trees.items()
             for fn in _private_definitions(tree) if fn not in referenced]
+    assert dead == []
+
+
+# Public names that no code of the package reads: each is paper-facing or
+# oracle API that the tests call directly.
+TEST_FACING = (
+    "singleton_quantum",  # the quantum Singleton bound, checked against exact distances
+    "singleton_qlrc_general",  # the paper's Singleton-like bound for any qLRC
+    "fqtb_distance_simple",  # the paper's simplified folded distance bound (s >= 2r^2)
+    "fqtb_simple_below_lower",  # the paper's claim that the simple form is the weaker one
+    "gv_ell",  # the Gilbert-Varshamov row count of the random ensemble
+    "verify_appendix_inequalities",  # the paper's appendix lemmas, checked on a grid
+    "AppendixReport",  # the result type of verify_appendix_inequalities
+    "frs_code",  # the folded RS code, the oracle code of the folded list decoder
+    "erasure_decode",  # exact erasure filling, the oracle of local recovery
+    "local_recover_symbol",  # one-symbol recovery from a dual check: the LRC property
+    "local_recovery_sets",  # recovery sets found by search when a code has no metadata
+    "ael_locality_structure",  # the AEL code's locality claim, verified per qudit
+    "root_of_unity",  # the canonical r-th root of unity that the shifts use
+    "coset",  # a coset of the r-th roots of unity as a set of field elements
+    "frs_paper_radius",  # the paper's asymptotic folded radius, against the achieved one
+    "brute_list_decode",  # the exhaustive list-decoding oracle
+    "support_qtb_dual",  # the exponent set of the qTB dual, checked against the code's dual
+    "mod_reduce",  # reduction modulo X^r - c, the paper's per-coset local polynomial
+    "qtb_dim_window",  # the paper's dimension window around (2*ell-q)(1-2/r)
+    "fqtb_recover_block",  # folded local recovery from the sibling blocks
+)
+
+
+def test_every_public_definition_is_referenced():
+    # a public definition is live when another module imports it, when the
+    # module's top-level code reads it, or when a live definition of its own
+    # module reads it; TEST_FACING names are exempt but make nothing live
+    defs_of = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    dead = []
+    for name, tree in trees.items():
+        defs = {node.name: node for node in tree.body if isinstance(node, defs_of)}
+        live = set().union(*(_imported_names(other) for n, other in trees.items() if n != name),
+                           *(_referenced_names(node) for node in tree.body
+                             if not isinstance(node, defs_of)))
+        todo = [d for d in defs if d in live]
+        while todo:
+            found = _referenced_names(defs[todo.pop()]) & defs.keys() - live
+            live |= found
+            todo += found
+        dead += [f"{name}:{d}" for d in defs
+                 if d not in live and not d.startswith("_") and d not in TEST_FACING]
     assert dead == []
