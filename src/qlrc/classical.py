@@ -102,11 +102,7 @@ class LinearCode:
 
     def random_codeword(self, rng: np.random.Generator) -> np.ndarray:
         msg = rng.integers(0, self.ctx.q, size=self.dim)
-        return encode(self.ctx, self.basis, msg)
-
-
-def encode(ctx: FieldCtx, basis: np.ndarray, message: np.ndarray) -> np.ndarray:
-    return matmul(ctx, message, basis)
+        return matmul(self.ctx, msg, self.basis)
 
 
 def eval_code(ctx: FieldCtx, support: tuple[int, ...]) -> LinearCode:
@@ -331,7 +327,7 @@ def erasure_decode(code: LinearCode, values: np.ndarray, erased: np.ndarray) -> 
         raise AmbiguousErasure(f"{int(erased.sum())} erasures leave a free message subspace")
     if msg is None:
         raise InconsistentErasure("unerased positions match no codeword")
-    return encode(ctx, code.basis, msg)
+    return matmul(ctx, msg, code.basis)
 
 
 def local_recover_symbol(code: LinearCode, values: np.ndarray, i: int,

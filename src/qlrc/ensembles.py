@@ -19,9 +19,11 @@ inside one fold), and route sub-symbols along a sampled Delta-regular
 bipartite graph. Exactness of the CSS condition after flattening rests on
 two dualities: the outer Z side is flattened in the polynomial basis and
 the X side in its trace-dual basis, and the inner logical sections are
-chosen dual to each other. ``ael_build`` makes that choice once per side:
-each side's ``AelSide`` holds its outer component, logical sections,
-flattening and inner syndrome table, and encoding and decoding read only
+chosen dual to each other. The trace-dual basis change is one fixed k x k
+matrix over GF(p), the trace Gram matrix G, so ``ael_build`` folds it into
+the X side's inner maps: both sides then move an outer symbol as its plain
+base-p digits. Each side's ``AelSide`` holds its outer component, logical
+sections and inner syndrome table, and encoding and decoding read only
 that record. The decoder unroutes, looks every inner block up in the side's
 table (misses become erasures), and finishes with an outer
 errors-and-erasures Reed-Solomon decode.
@@ -33,7 +35,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
@@ -291,43 +292,26 @@ def _random_perfect_matching(avail: np.ndarray, rng: np.random.Generator) -> np.
     for v in order:
         if match_l[v] != -1:
             continue
-        # DFS augmenting path from v
+        # DFS for an augmenting path from v: the left vertices on the path, each
+        # with its untried edges, and the right vertex each one tries
         seen = np.zeros(n, dtype=bool)
-        stack = [(v, iter(np.nonzero(avail[v])[0].tolist()))]
-        parent: dict[int, int] = {}
-        found = -1
-        while stack:
-            cur, it = stack[-1]
-            advanced = False
-            for u in it:
-                if seen[u]:
-                    continue
-                seen[u] = True
-                parent[u] = cur
-                if match_r[u] == -1:
-                    found = u
-                    stack.clear()
-                    advanced = True
-                    break
-                stack.append((int(match_r[u]), iter(np.nonzero(avail[int(match_r[u])])[0].tolist())))
-                advanced = True
+        path = [(v, iter(np.nonzero(avail[v])[0].tolist()))]
+        tries: list[int] = []
+        while path:
+            u = next((u for u in path[-1][1] if not seen[u]), None)
+            if u is None:  # a dead end: back up one edge
+                del path[-1], tries[-1:]
+                continue
+            seen[u] = True
+            tries.append(u)
+            if match_r[u] == -1:
                 break
-            if not advanced:
-                stack.pop()
-        if found == -1:
+            w = int(match_r[u])
+            path.append((w, iter(np.nonzero(avail[w])[0].tolist())))
+        else:
             return None
-        u = found
-        while True:
-            cur = parent[u]
-            nxt = int(match_l[cur])
-            match_l[cur], match_r[u] = u, cur
-            if nxt == -1 and cur == v:
-                break
-            u = nxt
-            if cur == v:
-                break
-    if np.any(match_l == -1):
-        return None
+        for (left, _), right in zip(path, tries):
+            match_l[left], match_r[right] = right, left
     return match_l
 
 
@@ -403,48 +387,24 @@ def _matrix_inverse(ctx: FieldCtx, m: np.ndarray) -> np.ndarray:
     return r[:, n:]
 
 
-# -- flattening between GF(p^k) and GF(p)^k ----------------------------------------------
+# -- GF(p^k) as base-p digits ----------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class Flattening:
-    """GF(p^k) as a GF(p)-vector space: digits basis and its trace dual."""
-
-    ctx: FieldCtx  # the extension field
-    k: int
-    basis: tuple[int, ...]  # p^0, p^1, ..., the polynomial basis
-    dual: tuple[int, ...]  # trace-dual basis
-    gram: np.ndarray  # Tr(b_i * b_j) over GF(p)
-
-    def down(self, x: int | np.ndarray) -> np.ndarray:
-        """Coordinates in the polynomial basis (the base-p digits); for an
-        array of elements, one row of coordinates per element."""
-        p = self.ctx.p
-        return np.asarray(x, dtype=np.int64)[..., None] // p ** np.arange(self.k) % p
-
-    def down_dual(self, x: int | np.ndarray) -> np.ndarray:
-        """Coordinates in the trace-dual basis: a_i = Tr(x * b_i), which is
-        GF(p)-linear in the digits of x, so one product with the Gram matrix."""
-        return matmul(field_new(self.ctx.p), self.down(x), self.gram)
-
-    def up(self, digits: np.ndarray) -> np.ndarray:
-        """The element with these digits; one element per row of a 2-D array."""
-        p = self.ctx.p
-        return np.asarray(digits, dtype=np.int64) % p @ p ** np.arange(self.k)
-
-    def up_dual(self, coords: np.ndarray) -> np.ndarray:
-        """sum_i coords_i * dual_i: GF(p)-linear, so a product with the dual's digits."""
-        p = self.ctx.p
-        return self.up(matmul(field_new(p), np.asarray(coords) % p, self.down(self.dual)))
+def _digits(ext: FieldCtx, x: np.ndarray) -> np.ndarray:
+    """Coordinates in the polynomial basis 1, X, ..., X^(k-1): the base-p
+    digits, one row per element."""
+    return x[..., None] // ext.p ** np.arange(ext.m) % ext.p
 
 
-def flattening(ext: FieldCtx) -> Flattening:
-    """Build the basis pair for an extension field over its prime subfield."""
-    k = ext.m
-    basis = ext.p ** np.arange(k)
-    gram = ext.trace(ext.mul(basis[:, None], basis[None, :]))
-    dual = matmul(ext, _matrix_inverse(field_new(ext.p), gram), basis)
-    return Flattening(ctx=ext, k=k, basis=tuple(basis.tolist()), dual=tuple(dual.tolist()),
-                      gram=frozen(gram))
+def _undigits(ext: FieldCtx, digits: np.ndarray) -> np.ndarray:
+    """The element with these base-p digits, one per row."""
+    return digits @ ext.p ** np.arange(ext.m)
+
+
+def _trace_gram(ext: FieldCtx) -> np.ndarray:
+    """G = [Tr(X^i X^j)] over GF(p), so Tr(u v) = digits(u) G digits(v)^T:
+    digits(v) G are the coordinates of v in the trace-dual basis."""
+    basis = ext.p ** np.arange(ext.m)
+    return ext.trace(ext.mul(basis[:, None], basis[None, :]))
 
 
 # -- the AEL construction ------------------------------------------------------------------
@@ -499,18 +459,17 @@ def _inner_decoder_cache(ctx: FieldCtx, parity: np.ndarray) -> InnerTable:
 class AelSide:
     """What one side (Z or X) of an AEL code encodes and decodes with.
 
-    The Z side flattens outer symbols in the polynomial basis and the X side
-    in its trace-dual basis. Each side encodes with its own logical sections
-    and reads with the other side's, which are dual to them.
+    Each side encodes with its own logical sections and reads with the other
+    side's, which are dual to them. An outer symbol enters and leaves the
+    inner maps as its base-p digits; the X side's inner maps also carry the
+    change to the trace-dual basis, G on the way in and G^-T on the way out.
     """
 
     outer: LinearCode  # the outer component, an RS code
     outer_section: np.ndarray  # message -> outer word
     outer_reader: np.ndarray  # outer word -> message
-    inner_section: np.ndarray  # coordinates of an outer symbol -> inner word
-    inner_reader: np.ndarray  # inner word -> coordinates
-    down: Callable[[np.ndarray], np.ndarray]  # outer symbol -> coordinates
-    up: Callable[[np.ndarray], np.ndarray]  # coordinates -> outer symbol
+    inner_section: np.ndarray  # digits of an outer symbol -> inner word
+    inner_reader: np.ndarray  # inner word -> digits
     table: InnerTable  # built from this side's inner parity check
 
 
@@ -597,53 +556,37 @@ def ael_build(outer: CssCode, inner: CssCode, graph: ExpanderGraph, delta: int,
         raise FoldingMismatch(
             f"graph must be {delta}-regular on {n_blocks} vertices, got {graph.delta} on {graph.n}")
 
-    flat = flattening(ctx_out)
     inner_log = logical_pair(inner)
     outer_log = logical_pair(outer)
+    gram = _trace_gram(ctx_out)
     sides = {
         "z": AelSide(outer=outer.cz, outer_section=outer_log.lz, outer_reader=outer_log.lx,
                      inner_section=inner_log.lz, inner_reader=inner_log.lx,
-                     down=flat.down, up=flat.up,
                      table=_inner_decoder_cache(ctx_in, inner.hz)),
         "x": AelSide(outer=outer.cx, outer_section=outer_log.lx, outer_reader=outer_log.lz,
-                     inner_section=inner_log.lx, inner_reader=inner_log.lz,
-                     down=flat.down_dual, up=flat.up_dual,
+                     inner_section=frozen(matmul(ctx_in, gram, inner_log.lx)),
+                     inner_reader=frozen(matmul(ctx_in, _matrix_inverse(ctx_in, gram).T,
+                                                inner_log.lz)),
                      table=_inner_decoder_cache(ctx_in, inner.hx)),
     }
-    n_total = n_out * n_in
-
-    def embed(rows_per_position: np.ndarray, position: int) -> np.ndarray:
-        out = np.zeros((rows_per_position.shape[0], n_total), dtype=np.int64)
-        out[:, position * n_in:(position + 1) * n_in] = rows_per_position
-        return out
-
-    def lift(side: AelSide) -> list[np.ndarray]:
-        """Flatten outer rows (scaled by every basis element) through the
-        inner logical section."""
-        # both sides scale by the polynomial basis: the dual pairing is
-        # realized by *reading coordinates* in dual bases
-        return [matmul(ctx_in, side.down(ctx_out.mul(scalar, brow)), side.inner_section)
-                .reshape(-1) for brow in side.outer.basis for scalar in flat.basis]
-
-    cz_rows = lift(sides["z"])
-    cx_rows = lift(sides["x"])
-    for t in range(n_out):
-        cz_rows.extend(embed(inner.hx, t))
-        cx_rows.extend(embed(inner.hz, t))
 
     # routing: pre-permutation qudit (block i, slot j) lands at block
     # matchings[j][i], same slot
     perm = (graph.matchings.T * delta + np.arange(delta)).reshape(-1)
+    scalars = ctx_out.p ** np.arange(k_in)  # the polynomial basis, X^i
 
-    def permute(rows: list[np.ndarray]) -> np.ndarray:
-        arr = np.asarray(rows, dtype=np.int64)
-        out = np.zeros_like(arr)
-        out[:, perm] = arr
-        return out
+    def generators(side: AelSide, stabilizers: np.ndarray) -> LinearCode:
+        """Every outer basis row times every X^i, as digits through the side's
+        inner section, then the inner stabilizers at every outer position; routed."""
+        scaled = ctx_out.mul(side.outer.basis[:, None, :], scalars[None, :, None])
+        lifted = matmul(ctx_in, _digits(ctx_out, scaled).reshape(-1, k_in), side.inner_section)
+        rows = np.vstack([lifted.reshape(-1, n_out * n_in),
+                          np.kron(np.eye(n_out, dtype=np.int64), stabilizers)])
+        out = np.zeros_like(rows)
+        out[:, perm] = rows
+        return LinearCode(ctx_in, out)
 
-    cz = LinearCode(ctx_in, permute(cz_rows))
-    cx = LinearCode(ctx_in, permute(cx_rows))
-    css = css_new(cx, cz)
+    css = css_new(generators(sides["x"], inner.hz), generators(sides["z"], inner.hx))
     code = AelCode(outer=outer, inner=inner, graph=graph, delta=delta, r_in=r_in,
                    css=css, sides=sides, perm=perm)
     assert code.k_qudits == outer.k * k_in
@@ -673,8 +616,8 @@ def ael_encode(code: AelCode, msg: np.ndarray, side: str = "z") -> np.ndarray:
     """Canonical classical codeword carrying the outer message (stabilizer
     components zero)."""
     s = code.side(side)
-    coords = s.down(matmul(code.outer.ctx, msg, s.outer_section))
-    pre = matmul(code.ctx, coords, s.inner_section).reshape(-1)
+    digits = _digits(code.outer.ctx, matmul(code.outer.ctx, msg, s.outer_section))
+    pre = matmul(code.ctx, digits, s.inner_section).reshape(-1)
     out = np.zeros_like(pre)
     out[code.perm] = pre
     return out
@@ -714,7 +657,7 @@ def ael_decode(code: AelCode, word: np.ndarray, side: str = "z") -> AelDecodeRes
     ctx_out = code.outer.ctx
     pre = np.asarray(word, dtype=np.int64)[code.perm]
     words, found = s.table.decode(code.ctx, pre.reshape(code.n_out, code.n_in))
-    outer_word = s.up(matmul(code.ctx, s.inner_reader, words.T).T)
+    outer_word = _undigits(ctx_out, matmul(code.ctx, s.inner_reader, words.T).T)
     erased = ~found
     outer_word[erased] = 0
 

@@ -1,5 +1,6 @@
 """Random qLRCs, expander sampling, and the AEL pipeline."""
 
+import hashlib
 from fractions import Fraction
 
 import numpy as np
@@ -25,7 +26,6 @@ from qlrc.ensembles import (
     ael_standard_build,
     certified_distance_at_least,
     expander_sample,
-    flattening,
     gv_estimate,
     logical_pair,
     measure_lambda,
@@ -158,6 +158,20 @@ def test_expander_rejects_overfull_degree():
         expander_sample(8, 9, seed=0)
 
 
+# sha256 of expander_sample matchings over dense, sparse and near-complete
+# degrees, computed before the augmenting search was shortened; the
+# augmenting paths visit vertices in the same order, so it must not move
+EXPANDER_SHA256 = "49497c3313cd6599b43cdd8d931313ee85e2389e84b9035de4dee16693af53a7"
+
+
+def test_seeded_expander_matchings_are_pinned():
+    digest = hashlib.sha256()
+    for n, delta in ((24, 24), (24, 5), (30, 29), (40, 40), (17, 16)):
+        for seed in range(15):
+            digest.update(expander_sample(n, delta, seed).matchings.tobytes())
+    assert digest.hexdigest() == EXPANDER_SHA256
+
+
 def test_expander_determinism_and_descriptor():
     a = expander_sample(16, 4, seed=9)
     b = expander_sample(16, 4, seed=9)
@@ -174,18 +188,27 @@ def test_ael_radius_formula():
 
 
 def test_flattening_trace_pairing():
+    # Tr(u v) = digits(u) G digits(v) for the trace Gram matrix G; digits(v) G
+    # are v's coordinates in the trace-dual basis, whose elements are the rows
+    # of G^-1 read as digits, so G^-1 takes the coordinates back to digits
+    from qlrc.ensembles import _digits, _matrix_inverse, _trace_gram, _undigits
+
     for p, m in ((5, 2), (3, 2), (2, 4)):
-        ext = field_new(p, m)
-        fl = flattening(ext)
-        for u in range(ext.q):
-            for v in range(ext.q):
-                lhs = ext.trace(ext.mul(u, v))
-                rhs = int((fl.down(u) * fl.down_dual(v)).sum() % p)
-                assert lhs == rhs
-        # coordinate systems invert each other
-        for u in range(ext.q):
-            assert fl.up(fl.down(u)) == u
-            assert fl.up_dual(fl.down_dual(u)) == u
+        ext, fp = field_new(p, m), field_new(p)
+        gram = _trace_gram(ext)
+        gram_inv = _matrix_inverse(fp, gram)
+        elements = np.arange(ext.q)
+        digits = _digits(ext, elements)
+        assert digits.shape == (ext.q, m)
+        dual_coords = matmul(fp, digits, gram)
+        assert np.array_equal(ext.trace(ext.mul(elements[:, None], elements[None, :])),
+                              matmul(fp, dual_coords, digits.T))
+        assert np.array_equal(_undigits(ext, digits), elements)
+        dual = _undigits(ext, gram_inv)
+        powers = _undigits(ext, np.eye(m, dtype=np.int64))
+        assert np.array_equal(ext.trace(ext.mul(dual[:, None], powers[None, :])),
+                              np.eye(m, dtype=np.int64))
+        assert np.array_equal(_undigits(ext, matmul(fp, dual_coords, gram_inv)), elements)
 
 
 def test_logical_pair_duality():
@@ -391,3 +414,30 @@ def test_inner_table_refuses_keys_beyond_int64():
     with pytest.raises(CapExceeded) as info:
         _inner_decoder_cache(f5, np.eye(28, 30, dtype=np.int64))
     assert info.value.required == 5**28
+
+
+# sha256 of both CSS bases of ael_standard_build(seed=90) and of seeded
+# ael_quantum_decode corrections and residuals at block weights 1-3 (beyond
+# the radius, the class of the exception raised instead), computed while the
+# X side still changed basis at every encode and decode
+AEL_SHA256 = "06c1658099d69a5618f1be2b1d68c255463d3a3a339e6718748222a5196e5fb9"
+
+
+def test_seeded_ael_outputs_are_pinned():
+    std = ael_standard_build(seed=90)
+    code = std.code
+    digest = hashlib.sha256(code.css.cx.basis.tobytes() + code.css.cz.basis.tobytes())
+    rng = np.random.default_rng(9001)
+    for weight in (1, 2, 3):  # within the radius a wrong residual raises
+        for _ in range(60):
+            err = random_block_pauli(code.ctx, code.block_count, code.delta, weight, rng)
+            try:
+                corr, resid = ael_quantum_decode(std, err)
+            except DecodingFailed as exc:
+                digest.update(type(exc).__name__.encode())
+            else:
+                for part in (corr.bx, corr.bz, resid.bx, resid.bz):
+                    digest.update(part.tobytes())
+            digest.update(b"|")
+    assert std.radius_blocks == 1
+    assert digest.hexdigest() == AEL_SHA256

@@ -42,12 +42,6 @@ def test_every_import_is_used(path):
     assert _unused_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
 
 
-def _private_definitions(tree: ast.Module) -> list[str]:
-    return [node.name for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            and node.name.startswith("_") and not node.name.startswith("__")]
-
-
 def _imported_names(tree: ast.AST) -> set[str]:
     """Names read from other modules: ``from .m import name`` and ``m.name``."""
     out = set()
@@ -79,16 +73,6 @@ def test_every_traced_name_resolves():
     assert missing == []
 
 
-def test_every_private_definition_is_referenced():
-    # a module-level _helper that nothing in the package names is dead code
-    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
-             for path in sorted(SRC.glob("*.py"))}
-    referenced = set().union(*(_referenced_names(tree) for tree in trees.values()))
-    dead = [f"{name}:{fn}" for name, tree in trees.items()
-            for fn in _private_definitions(tree) if fn not in referenced]
-    assert dead == []
-
-
 # Public names that no code of the package reads: each is paper-facing or
 # oracle API that the tests call directly.
 TEST_FACING = (
@@ -115,24 +99,39 @@ TEST_FACING = (
 )
 
 
-def test_every_public_definition_is_referenced():
-    # a public definition is live when another module imports it, when the
-    # module's top-level code reads it, or when a live definition of its own
-    # module reads it; TEST_FACING names are exempt but make nothing live
+def _unreachable_definitions(roots: tuple[str, ...] = ()) -> list[tuple[str, str]]:
+    """Module-level definitions that nothing live reads, as (module, name).
+
+    A definition is live when another module imports it, when its module's
+    top-level code reads it, when ``roots`` names it, or when a live
+    definition of its own module reads it.
+    """
     defs_of = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(SRC.glob("*.py"))}
     dead = []
     for name, tree in trees.items():
         defs = {node.name: node for node in tree.body if isinstance(node, defs_of)}
-        live = set().union(*(_imported_names(other) for n, other in trees.items() if n != name),
-                           *(_referenced_names(node) for node in tree.body
-                             if not isinstance(node, defs_of)))
+        live = set(roots).union(
+            *(_imported_names(other) for n, other in trees.items() if n != name),
+            *(_referenced_names(node) for node in tree.body if not isinstance(node, defs_of)))
         todo = [d for d in defs if d in live]
         while todo:
             found = _referenced_names(defs[todo.pop()]) & defs.keys() - live
             live |= found
             todo += found
-        dead += [f"{name}:{d}" for d in defs
-                 if d not in live and not d.startswith("_") and d not in TEST_FACING]
-    assert dead == []
+        dead += [(name, d) for d in defs if d not in live]
+    return dead
+
+
+def test_every_public_definition_is_referenced():
+    # TEST_FACING names are exempt but make nothing live
+    assert [f"{m}:{d}" for m, d in _unreachable_definitions()
+            if not d.startswith("_") and d not in TEST_FACING] == []
+
+
+def test_every_private_definition_is_referenced():
+    # a module-level _helper that no live code reads is dead code; the
+    # TEST_FACING entry points are live, and so is what they read
+    assert [f"{m}:{d}" for m, d in _unreachable_definitions(TEST_FACING)
+            if d.startswith("_") and not d.startswith("__")] == []
