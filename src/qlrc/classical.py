@@ -81,8 +81,8 @@ class LinearCode:
     def dim(self) -> int:
         return self.basis.shape[0]
 
-    def contains(self, word: np.ndarray) -> bool:
-        return self.row_space.contains(np.asarray(word, dtype=np.int64))
+    def contains(self, word: np.ndarray) -> bool:  # word, or every row of a stack
+        return self.row_space.contains(word)
 
     @property
     def dual_basis(self) -> np.ndarray:
@@ -93,12 +93,11 @@ class LinearCode:
         return LinearCode(self.ctx, self.dual_basis)
 
     def same_row_space(self, other: "LinearCode") -> bool:
-        if self.ctx != other.ctx or self.n != other.n or self.dim != other.dim:
-            return False
-        return all(self.contains(row) for row in other.basis)
+        return (self.ctx == other.ctx and self.n == other.n and self.dim == other.dim
+                and self.contains(other.basis))
 
     def is_subcode_of(self, other: "LinearCode") -> bool:
-        return all(other.contains(row) for row in self.basis)
+        return other.contains(self.basis)
 
     def random_codeword(self, rng: np.random.Generator) -> np.ndarray:
         msg = rng.integers(0, self.ctx.q, size=self.dim)

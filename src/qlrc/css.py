@@ -140,14 +140,13 @@ def css_new(cx: LinearCode, cz: LinearCode,
 
 
 def syndrome(code: CssCode, err: PauliError) -> tuple[np.ndarray, np.ndarray]:
-    """(H_X @ bx, H_Z @ bz): everything the stabilizer measurements reveal."""
-    ctx = code.ctx
-    return matmul(ctx, code.hx, err.bx), matmul(ctx, code.hz, err.bz)
+    """(H_X @ bx, H_Z @ bz): everything the stabilizer measurements reveal. Each
+    is ``RowSpace.apply``, which reads H only off its pivot (identity) columns."""
+    return code.dual_x_space.apply(err.bx), code.dual_z_space.apply(err.bz)
 
 
 def is_logical_identity(code: CssCode, err: PauliError) -> bool:
-    return (code.dual_z_space.contains(err.bx)
-            and code.dual_x_space.contains(err.bz))
+    return code.dual_z_space.contains(err.bx) and code.dual_x_space.contains(err.bz)
 
 
 def coset_representative(code: CssCode, side: str, syn: np.ndarray) -> np.ndarray:
@@ -328,8 +327,7 @@ def recover_pauli(code: CssCode, rs: RecoverySet, err: PauliError) -> PauliError
     """
     ctx = code.ctx
     i = rs.position
-    bx = np.zeros(code.n, dtype=np.int64)
-    bz = np.zeros(code.n, dtype=np.int64)
+    bx, bz = np.zeros(code.n, dtype=np.int64), np.zeros(code.n, dtype=np.int64)
     bx[i] = ctx.div(matmul(ctx, rs.check_x, err.bx), rs.check_x[i])
     bz[i] = ctx.div(matmul(ctx, rs.check_z, err.bz), rs.check_z[i])
     return PauliError(bx, bz)
@@ -345,8 +343,7 @@ def random_pauli(ctx: FieldCtx, n: int, weight: int, model: str,
     ``x-only`` / ``z-only`` restrict to one component.
     """
     support = rng.choice(n, size=weight, replace=False)
-    bx = np.zeros(n, dtype=np.int64)
-    bz = np.zeros(n, dtype=np.int64)
+    bx, bz = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
     q = ctx.q
     for i in support.tolist():
         if model == "x-only":

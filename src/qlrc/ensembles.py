@@ -22,11 +22,11 @@ the X side in its trace-dual basis, and the inner logical sections are
 chosen dual to each other. The trace-dual basis change is one fixed k x k
 matrix over GF(p), the trace Gram matrix G, so ``ael_build`` folds it into
 the X side's inner maps: both sides then move an outer symbol as its plain
-base-p digits. Each side's ``AelSide`` holds its outer component, logical
-sections and inner syndrome table, and encoding and decoding read only
-that record. The decoder unroutes, looks every inner block up in the side's
-table (misses become erasures), and finishes with an outer
-errors-and-erasures Reed-Solomon decode.
+base-p digits. Each side's ``AelSide`` holds its outer component, one
+GF(p) encoder, its readers and its inner syndrome table, and encoding and
+decoding read only that record. The decoder unroutes, looks every inner
+block up in the side's table (misses become erasures), and finishes with an
+outer errors-and-erasures Reed-Solomon decode.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from .errors import (
 )
 from .gf import FieldCtx, RowSpace, field_new, frozen, matmul, nullspace, rref
 from .listdec import rs_unique_decode
-from .polycode import evaluate_values
+from .polycode import eval_table
 
 _REJECTION_TRIES = 256
 _DISTANCE_ATTEMPTS = 200  # seeds tried by sample_qlrc_with_distance
@@ -129,11 +129,8 @@ def random_qlrc(n: int, r: int, ell: int, q: int, seed: int) -> RandomQlrc:
     ctx = field_from_order(q)
     x_pat, z_pat = _block_patterns(ctx, r)
     blocks = n // r
-    hx = np.zeros((blocks, n), dtype=np.int64)
-    hz = np.zeros((blocks, n), dtype=np.int64)
-    for b in range(blocks):
-        hx[b, b * r:(b + 1) * r] = x_pat
-        hz[b, b * r:(b + 1) * r] = z_pat
+    eye = np.eye(blocks, dtype=np.int64)
+    hx, hz = np.kron(eye, x_pat), np.kron(eye, z_pat)
 
     rng = stream_rng(seed)
 
@@ -154,11 +151,8 @@ def random_qlrc(n: int, r: int, ell: int, q: int, seed: int) -> RandomQlrc:
 
     cx = LinearCode(ctx, nullspace(ctx, hx))
     cz = LinearCode(ctx, nullspace(ctx, hz))
-    recovery = []
-    for i in range(n):
-        b = i // r
-        recovery.append(RecoverySet(i, tuple(range(b * r, (b + 1) * r)),
-                                    check_x=hx[b], check_z=hz[b]))
+    recovery = [RecoverySet(i, tuple(range(i - i % r, i - i % r + r)), hx[i // r], hz[i // r])
+                for i in range(n)]
     code = css_new(cx, cz, recovery=recovery)
     out = RandomQlrc(css=code, n=n, r=r, ell=ell, seed=seed, hx=hx, hz=hz)
     assert out.k == n - 2 * (blocks + ell)
@@ -321,17 +315,14 @@ def expander_sample(n: int, delta: int, seed: int) -> ExpanderGraph:
         raise ValidationError(f"need 1 <= delta <= n for a simple graph, got delta={delta}, n={n}")
     rng = stream_rng(seed)
     for _ in range(_EXPANDER_RETRIES):
-        avail = np.ones((n, n), dtype=bool)
-        rows = []
-        ok = True
+        avail, rows = np.ones((n, n), dtype=bool), []
         for _t in range(delta):
             m = _random_perfect_matching(avail, rng)
             if m is None:
-                ok = False
                 break
             rows.append(m)
             avail[np.arange(n), m] = False
-        if ok:
+        else:
             return ExpanderGraph(n=n, delta=delta, matchings=np.asarray(rows), seed=seed)
     raise SamplingFailedAfterRetries(
         f"no simple {delta}-regular sample after {_EXPANDER_RETRIES} retries")
@@ -440,8 +431,9 @@ def _inner_decoder_cache(ctx: FieldCtx, parity: np.ndarray) -> InnerTable:
     """The inner syndrome table of ``parity``, radius ``_INNER_RADIUS``.
 
     The candidate leaders are the zero word, then every single-symbol error in
-    (position, value) order; ``np.unique`` keeps the first one per syndrome.
-    Raises CapExceeded when q^rows keys do not fit in an int64.
+    (position, value) order; a stable sort keeps the first one per syndrome
+    (``np.unique`` can import ``numpy.ma``, 12 ms on its first call). Raises
+    CapExceeded when q^rows keys do not fit in an int64.
     """
     q = ctx.q
     rows, n = parity.shape
@@ -451,8 +443,10 @@ def _inner_decoder_cache(ctx: FieldCtx, parity: np.ndarray) -> InnerTable:
     singles = np.kron(np.eye(n, dtype=np.int64), np.arange(1, q)[:, None])
     leaders = np.vstack([np.zeros((1, n), dtype=np.int64), singles])
     place = q ** np.arange(rows, dtype=np.int64)
-    keys, first = np.unique(place @ matmul(ctx, parity, leaders.T), return_index=True)
-    return InnerTable(parity=frozen(parity), place=place, keys=keys, leaders=leaders[first])
+    keys = place @ matmul(ctx, parity, leaders.T)
+    order = np.argsort(keys, kind="stable")
+    first = order[np.insert(keys[order[1:]] != keys[order[:-1]], 0, True)]  # first of each run
+    return InnerTable(parity=frozen(parity), place=place, keys=keys[first], leaders=leaders[first])
 
 
 @dataclass(frozen=True, eq=False)
@@ -463,12 +457,12 @@ class AelSide:
     side's, which are dual to them. An outer symbol enters and leaves the
     inner maps as its base-p digits; the X side's inner maps also carry the
     change to the trace-dual basis, G on the way in and G^-T on the way out.
+    ``ael_build`` folds the sections into ``encoder``, the outer reader into ``coeff_reader``.
     """
 
     outer: LinearCode  # the outer component, an RS code
-    outer_section: np.ndarray  # message -> outer word
-    outer_reader: np.ndarray  # outer word -> message
-    inner_section: np.ndarray  # digits of an outer symbol -> inner word
+    encoder: np.ndarray  # message digits -> routed word; row j*k_in + i is X^i at symbol j
+    coeff_reader: np.ndarray  # outer RS coefficients -> message, over GF(q_out)
     inner_reader: np.ndarray  # inner word -> digits
     table: InnerTable  # built from this side's inner parity check
 
@@ -556,39 +550,37 @@ def ael_build(outer: CssCode, inner: CssCode, graph: ExpanderGraph, delta: int,
         raise FoldingMismatch(
             f"graph must be {delta}-regular on {n_blocks} vertices, got {graph.delta} on {graph.n}")
 
-    inner_log = logical_pair(inner)
-    outer_log = logical_pair(outer)
-    gram = _trace_gram(ctx_out)
-    sides = {
-        "z": AelSide(outer=outer.cz, outer_section=outer_log.lz, outer_reader=outer_log.lx,
-                     inner_section=inner_log.lz, inner_reader=inner_log.lx,
-                     table=_inner_decoder_cache(ctx_in, inner.hz)),
-        "x": AelSide(outer=outer.cx, outer_section=outer_log.lx, outer_reader=outer_log.lz,
-                     inner_section=frozen(matmul(ctx_in, gram, inner_log.lx)),
-                     inner_reader=frozen(matmul(ctx_in, _matrix_inverse(ctx_in, gram).T,
-                                                inner_log.lz)),
-                     table=_inner_decoder_cache(ctx_in, inner.hx)),
-    }
-
     # routing: pre-permutation qudit (block i, slot j) lands at block
-    # matchings[j][i], same slot
+    # matchings[j][i], same slot; column c of a routed row is column unroute[c]
     perm = (graph.matchings.T * delta + np.arange(delta)).reshape(-1)
+    unroute = np.argsort(perm)
     scalars = ctx_out.p ** np.arange(k_in)  # the polynomial basis, X^i
 
-    def generators(side: AelSide, stabilizers: np.ndarray) -> LinearCode:
-        """Every outer basis row times every X^i, as digits through the side's
-        inner section, then the inner stabilizers at every outer position; routed."""
-        scaled = ctx_out.mul(side.outer.basis[:, None, :], scalars[None, :, None])
-        lifted = matmul(ctx_in, _digits(ctx_out, scaled).reshape(-1, k_in), side.inner_section)
-        rows = np.vstack([lifted.reshape(-1, n_out * n_in),
-                          np.kron(np.eye(n_out, dtype=np.int64), stabilizers)])
-        out = np.zeros_like(rows)
-        out[:, perm] = rows
-        return LinearCode(ctx_in, out)
+    def lift(rows: np.ndarray, inner_section: np.ndarray) -> np.ndarray:
+        """Each GF(q_out) row times every X^i, as digits through the inner
+        section, routed: one GF(p) row per (row, i), in that order."""
+        scaled = ctx_out.mul(rows[:, None, :], scalars[None, :, None])
+        lifted = matmul(ctx_in, _digits(ctx_out, scaled).reshape(-1, k_in), inner_section)
+        return lifted.reshape(-1, n_out * n_in)[:, unroute]
 
-    css = css_new(generators(sides["x"], inner.hz), generators(sides["z"], inner.hx))
+    def side(component: LinearCode, section: np.ndarray, reader: np.ndarray,
+             inner_section: np.ndarray, inner_reader: np.ndarray, parity: np.ndarray,
+             stabilizers: np.ndarray) -> tuple[LinearCode, AelSide]:
+        """The side's component of the routed code (the lifted outer basis, then
+        the stabilizers at every outer position) and its ``AelSide``."""
+        rows = np.vstack([lift(component.basis, inner_section),
+                          np.kron(np.eye(n_out, dtype=np.int64), stabilizers)[:, unroute]])
+        return LinearCode(ctx_in, rows), AelSide(
+            outer=component, encoder=frozen(lift(section, inner_section)),
+            coeff_reader=frozen(matmul(ctx_out, eval_table(ctx_out, component.dim), reader.T)),
+            inner_reader=frozen(inner_reader), table=_inner_decoder_cache(ctx_in, parity))
+
+    inner_log, outer_log, gram = logical_pair(inner), logical_pair(outer), _trace_gram(ctx_out)
+    cz, z = side(outer.cz, outer_log.lz, outer_log.lx, inner_log.lz, inner_log.lx, inner.hz, inner.hx)
+    cx, x = side(outer.cx, outer_log.lx, outer_log.lz, matmul(ctx_in, gram, inner_log.lx),
+                 matmul(ctx_in, _matrix_inverse(ctx_in, gram).T, inner_log.lz), inner.hx, inner.hz)
     code = AelCode(outer=outer, inner=inner, graph=graph, delta=delta, r_in=r_in,
-                   css=css, sides=sides, perm=perm)
+                   css=css_new(cx, cz), sides={"z": z, "x": x}, perm=perm)
     assert code.k_qudits == outer.k * k_in
     return code
 
@@ -614,13 +606,10 @@ def ael_locality_structure(code: AelCode) -> list[tuple[int, tuple[int, ...]]]:
 
 def ael_encode(code: AelCode, msg: np.ndarray, side: str = "z") -> np.ndarray:
     """Canonical classical codeword carrying the outer message (stabilizer
-    components zero)."""
+    components zero): the message's base-p digits times the side's encoder,
+    one GF(p) product."""
     s = code.side(side)
-    digits = _digits(code.outer.ctx, matmul(code.outer.ctx, msg, s.outer_section))
-    pre = matmul(code.ctx, digits, s.inner_section).reshape(-1)
-    out = np.zeros_like(pre)
-    out[code.perm] = pre
-    return out
+    return matmul(code.ctx, _digits(code.outer.ctx, np.asarray(msg)).reshape(-1), s.encoder)
 
 
 def rs_decode_errors_erasures(ctx: FieldCtx, ell: int, values: np.ndarray,
@@ -664,7 +653,7 @@ def ael_decode(code: AelCode, word: np.ndarray, side: str = "z") -> AelDecodeRes
     # outer code components are evaluation codes; decode in the quotient by
     # exact RS decoding and read out the logical class
     coeffs = rs_decode_errors_erasures(ctx_out, s.outer.dim, outer_word, erased)
-    msg = matmul(ctx_out, s.outer_reader, evaluate_values(ctx_out, coeffs))
+    msg = matmul(ctx_out, coeffs, s.coeff_reader)
     return AelDecodeResult(message=msg, word=ael_encode(code, msg, side),
                            inner_failures=int(np.count_nonzero(erased)))
 
@@ -754,9 +743,7 @@ def random_block_pauli(ctx: FieldCtx, n_blocks: int, delta: int, weight: int,
                        rng: np.random.Generator) -> PauliError:
     """A Pauli touching exactly `weight` folded blocks (all slots corrupted)."""
     blocks = rng.choice(n_blocks, size=weight, replace=False)
-    n = n_blocks * delta
-    bx = np.zeros(n, dtype=np.int64)
-    bz = np.zeros(n, dtype=np.int64)
+    bx, bz = np.zeros(n_blocks * delta, dtype=np.int64), np.zeros(n_blocks * delta, dtype=np.int64)
     for b in blocks.tolist():
         sl = slice(b * delta, (b + 1) * delta)
         while True:

@@ -61,13 +61,19 @@ them canonical with ``sub`` and ``mul``. ``rank``, ``kernel``, ``nullspace``,
 fancy indexing and ``matmul``; none of them loops over field elements.
 ``kernel`` reads the kernel off an RREF that is already in hand, so an owner
 that keeps one elimination (``classical.LinearCode``) gets its dual from it.
+
+A ``RowSpace`` basis is the identity on its pivot columns, so ``apply``
+(basis @ v = v[pivots] + block @ v[free]), ``reduce`` and ``contains`` (the
+residue, v[free] - v[pivots] @ block and 0 at the pivots) read only ``block``,
+the basis on the free columns (found by ``np.delete``, not ``np.setdiff1d``,
+which imports ``numpy.ma``), built at its first read.
 """
 
 from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -338,7 +344,7 @@ def rref(ctx: FieldCtx, mat: np.ndarray) -> tuple[np.ndarray, list[int]]:
     row of column c is zero left of c, so only the columns after c are
     updated. The module docstring says which entries are reduced, and when.
     """
-    a = np.array(mat, dtype=np.int64, copy=True)
+    a = np.array(mat, dtype=np.int64, copy=True, order="C")  # the updates run along rows
     rows, cols = a.shape
     p, prime = ctx.p, ctx.m == 1
     canon = (lambda x: x % p) if prime else (lambda x: x)
@@ -494,32 +500,45 @@ class RowSpace:
         if basis.ndim != 2:
             raise ValueError("basis must be a 2-D array")
         r, pivots = rref(ctx, basis)
-        self.ctx, self.pivot_basis, self.pivots = ctx, frozen(r[: len(pivots)]), pivots
+        self.ctx, self.pivot_basis, self.pivots = ctx, frozen(r[: len(pivots)]), frozen(pivots)
 
     @classmethod
     def from_pivot_basis(cls, ctx: FieldCtx, basis: np.ndarray, pivots: list[int]) -> "RowSpace":
         space = cls.__new__(cls)  # basis[:, pivots] is already the identity
-        space.ctx, space.pivot_basis, space.pivots = ctx, frozen(basis[: len(pivots)]), pivots
+        space.ctx, space.pivot_basis = ctx, frozen(basis[: len(pivots)])
+        space.pivots = frozen(pivots)
         return space
+
+    @cached_property
+    def free(self) -> np.ndarray:
+        return frozen(np.delete(np.arange(self.pivot_basis.shape[1]), self.pivots))
+
+    @cached_property
+    def block(self) -> np.ndarray:
+        return frozen(self.pivot_basis[:, self.free])
 
     @property
     def dim(self) -> int:
         return len(self.pivots)
 
-    def reduce(self, v: np.ndarray) -> np.ndarray:
-        """Residue of v modulo the row space (zero iff member).
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        """``pivot_basis @ v``; a stack of vectors, one per row, maps row by row."""
+        v = np.asarray(v, dtype=np.int64)  # take(axis=-1) is v[..., cols], without its cost
+        at_free = matmul(self.ctx, self.block, v.take(self.free, axis=-1).T).T
+        return self.ctx.add(v.take(self.pivots, axis=-1), at_free)
 
-        Every basis row is zero at the other rows' pivots, so the coefficient
-        of row i is v's own entry at pivot i: the residue is one product.
-        """
+    def _residue(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=np.int64)
-        return self.ctx.sub(v, matmul(self.ctx, v[self.pivots], self.pivot_basis))
+        at_pivots = matmul(self.ctx, v.take(self.pivots, axis=-1), self.block)
+        return self.ctx.sub(v.take(self.free, axis=-1), at_pivots)
+
+    def reduce(self, v: np.ndarray) -> np.ndarray:
+        """Residue of v (of each row of a stack) modulo the row space, zero iff
+        member: v's entry at pivot i is the coefficient of basis row i."""
+        out = np.zeros(np.shape(v), dtype=np.int64)
+        out[..., self.free] = self._residue(v)
+        return out
 
     def contains(self, v: np.ndarray) -> bool:
-        return not np.any(self.reduce(v))
-
-    def coordinates(self, v: np.ndarray) -> np.ndarray | None:
-        """Coefficients of v in the pivot basis, or None if not a member."""
-        if np.any(self.reduce(v)):
-            return None
-        return np.asarray(v, dtype=np.int64)[self.pivots]
+        """Whether v, or every row of a stack, lies in the row space."""
+        return not np.any(self._residue(v))

@@ -100,9 +100,7 @@ def qtb_new(q: int, r: int, ell: int, allow_composite_locality: bool = False) ->
     bperp = eval_code(ctx, support_piecewise(q, r))
     css = css_new(code, code, recovery=_coset_checks(ctx, r))
     # the piecewise space must sit inside the dual: these rows are the checks
-    dual = css.dual_x_space
-    for row in bperp.basis:
-        assert dual.contains(row)
+    assert css.dual_x_space.contains(bperp.basis)
     out = QtbCode(ctx=ctx, r=r, ell=ell, css=css, bperp=bperp,
                   prime_locality=_is_prime(r))
     assert out.k == qtb_dim(q, r, ell)

@@ -145,6 +145,21 @@ def test_coset_representative_is_the_syndrome_on_the_free_columns(build):
             coset_representative(code, side, np.zeros(len(checks) + 1, dtype=np.int64))
 
 
+@pytest.mark.parametrize("build", [lambda: qtb_css(13, 3, 8), _ael_css], ids=["qtb13", "ael90"])
+def test_syndrome_of_the_coset_representative_round_trips(build):
+    code = build()
+    rng = np.random.default_rng(5)
+    for _ in range(5):
+        sx = rng.integers(0, code.ctx.q, size=code.dual_x_space.dim)
+        sz = rng.integers(0, code.ctx.q, size=code.dual_z_space.dim)
+        err = PauliError(coset_representative(code, "x", sx), coset_representative(code, "z", sz))
+        got_x, got_z = syndrome(code, err)
+        assert np.array_equal(got_x, sx) and np.array_equal(got_z, sz)
+        # the same products at full width: H_X @ bx and H_Z @ bz
+        assert np.array_equal(matmul(code.ctx, code.hx, err.bx), sx)
+        assert np.array_equal(matmul(code.ctx, code.hz, err.bz), sz)
+
+
 def test_erasures_empty_and_singletons():
     code = qtb_css(7, 3, 4)
     assert can_decode_erasures(code, [])

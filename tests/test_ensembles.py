@@ -261,6 +261,38 @@ def test_ael_roundtrip_both_sides(small_ael, side):
         assert np.array_equal(ael_decode(code, w, side).message, msg)
 
 
+def _encode_by_sections(code, msg, side):
+    """The encode chain that ``AelSide.encoder`` folds: the outer section, the
+    base-p digits, the inner section (G times lx on the X side), then routing."""
+    from qlrc.ensembles import _digits, _trace_gram
+
+    ctx_out, ctx = code.outer.ctx, code.ctx
+    outer_log, inner_log = logical_pair(code.outer), logical_pair(code.inner)
+    if side == "z":
+        outer_section, inner_section = outer_log.lz, inner_log.lz
+    else:
+        outer_section = outer_log.lx
+        inner_section = matmul(ctx, _trace_gram(ctx_out), inner_log.lx)
+    digits = _digits(ctx_out, matmul(ctx_out, msg, outer_section))
+    pre = matmul(ctx, digits, inner_section).reshape(-1)
+    out = np.zeros_like(pre)
+    out[code.perm] = pre
+    return out
+
+
+@pytest.mark.parametrize("side", ["z", "x"])
+def test_ael_encoder_matches_the_section_chain(small_ael, side):
+    permuted = ael_standard_build(seed=90).code
+    for code in (small_ael, permuted):
+        ctx_out, k = code.outer.ctx, code.outer.k
+        # every message-digit basis vector X^i at symbol j, then random messages
+        msgs = [np.eye(k, dtype=np.int64)[j] * ctx_out.p**i
+                for j in range(k) for i in range(ctx_out.m)]
+        msgs += list(np.random.default_rng(6).integers(0, ctx_out.q, size=(4, k)))
+        for msg in msgs:
+            assert np.array_equal(ael_encode(code, msg, side), _encode_by_sections(code, msg, side))
+
+
 def test_ael_permuted_graph_structure_and_decode():
     inner = sample_qlrc_with_distance(12, 3, 1, 3, seed=11, d_min=3)
     f9 = field_new(3, 2)

@@ -354,8 +354,7 @@ def test_rowspace_membership_and_reduce():
     space = RowSpace(ctx, basis)
     assert space.contains(ctx.add(basis[0], ctx.mul(5, basis[1])))
     assert not space.contains(np.array([0, 0, 0, 1]))
-    coeff = space.coordinates(ctx.add(basis[0], ctx.mul(5, basis[1])))
-    assert coeff is not None
+    assert space.contains(basis) and not space.contains(np.eye(4, dtype=np.int64))
 
 
 def _reduce_oracle(ctx, space, v):
@@ -383,11 +382,44 @@ def test_rowspace_reduce_matches_sequential_loop(p, m):
         for v in list(members) + list(rng.integers(0, ctx.q, size=(4, cols))):
             residue, coeff = _reduce_oracle(ctx, space, v)
             assert np.array_equal(space.reduce(v), residue)
-            got = space.coordinates(v)
-            if np.any(residue):
-                assert got is None and not space.contains(v)
-            else:
-                assert np.array_equal(got, coeff) and space.contains(v)
+            assert space.contains(v) == (not np.any(residue))
+            if not np.any(residue):  # a member's coefficients are its pivot entries
+                assert np.array_equal(v[space.pivots], coeff)
+
+
+@pytest.mark.parametrize("p,m", [(127, 1), (5, 2)])
+def test_rowspace_products_match_the_full_width_formulas(p, m):
+    # apply, reduce and contains read only the block off the pivots; the
+    # full-width products they replace are the oracles
+    ctx = field_new(p, m)
+    rng = np.random.default_rng(11 * p + m)
+    for rows, cols in [(0, 7), (7, 7), (3, 9), (8, 20)]:  # dim 0; dim n: no free columns
+        basis = rng.integers(0, ctx.q, size=(rows, cols))
+        space = RowSpace(ctx, basis)
+        assert space.dim == rows and len(space.pivots) + len(space.free) == cols
+        full = space.pivot_basis
+        stack = np.vstack([rng.integers(0, ctx.q, size=(5, cols)),
+                           matmul(ctx, rng.integers(0, ctx.q, size=(3, rows)), basis)])
+        residues = ctx.sub(stack, matmul(ctx, stack[:, space.pivots], full))
+        assert np.array_equal(space.apply(stack), matmul(ctx, full, stack.T).T)
+        assert np.array_equal(space.reduce(stack), residues)
+        for v, residue in zip(stack, residues):
+            assert np.array_equal(space.apply(v), matmul(ctx, full, v))
+            assert np.array_equal(space.reduce(v), residue)
+            assert space.contains(v) == (not np.any(residue))
+        assert space.contains(stack) == (not np.any(residues))
+        assert space.contains(stack[5:])  # the members only
+        assert space.contains(stack[:5]) == (rows == cols)
+        assert space.apply(stack[:0]).shape == (0, space.dim)
+
+
+def test_rowspace_contains_reduces_noncanonical_entries():
+    # an entry p in GF(p) is 0: a member shifted by p stays a member
+    ctx = field_new(13)
+    space = RowSpace(ctx, np.array([[1, 2, 3, 4], [0, 1, 1, 1]]))
+    member = matmul(ctx, np.array([3, 5]), space.pivot_basis)
+    assert space.contains(member + 13) and space.contains(member - 13 * (member > 0))
+    assert not space.contains(member + np.array([0, 0, 0, 14]))
 
 
 def test_units_built_once_and_read_only():

@@ -58,6 +58,27 @@ def _referenced_names(tree: ast.AST) -> set[str]:
     return _imported_names(tree) | {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
 
 
+def _bound_names(tree: ast.AST) -> set[str]:
+    """Names a definition binds inside itself: assignment targets, arguments
+    and nested definitions. A read of one of them is not a module-level read."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.arg):
+            out.add(node.arg)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and node is not tree:
+            out.add(node.name)
+    return out
+
+
+def _module_reads(definition: ast.AST) -> set[str]:
+    """The names a module-level definition reads from its module: its bare
+    names less the ones it binds, plus attributes and imported names."""
+    bare = {node.id for node in ast.walk(definition) if isinstance(node, ast.Name)}
+    return _imported_names(definition) | (bare - _bound_names(definition))
+
+
 def test_every_traced_name_resolves():
     # perfbench/spans.py wraps qlrc functions by (module, name); parsed, not
     # imported, so that a renamed function fails here and not only in perfbench
@@ -104,7 +125,8 @@ def _unreachable_definitions(roots: tuple[str, ...] = ()) -> list[tuple[str, str
 
     A definition is live when another module imports it, when its module's
     top-level code reads it, when ``roots`` names it, or when a live
-    definition of its own module reads it.
+    definition of its own module reads it (``_module_reads``: a local of the
+    same name is not a read).
     """
     defs_of = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
@@ -117,7 +139,7 @@ def _unreachable_definitions(roots: tuple[str, ...] = ()) -> list[tuple[str, str
             *(_referenced_names(node) for node in tree.body if not isinstance(node, defs_of)))
         todo = [d for d in defs if d in live]
         while todo:
-            found = _referenced_names(defs[todo.pop()]) & defs.keys() - live
+            found = _module_reads(defs[todo.pop()]) & defs.keys() - live
             live |= found
             todo += found
         dead += [(name, d) for d in defs if d not in live]
