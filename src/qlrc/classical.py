@@ -1,15 +1,14 @@
 """Classical GF(q)-linear codes: duals, exact weights, erasure decoding.
 
 The exact minimum-weight machinery is the workhorse oracle of the whole
-package. ``min_weight_excluding(C, D)`` enumerates C grouped by its cosets
-of D, so "min weight over C \\ D" never needs a membership test: a word is
-outside D exactly when its coset label is nonzero. Scaling by a nonzero
-constant keeps both the weight and the coset label's being nonzero, so it
-weighs one word per line {lambda*c : lambda != 0}, about q^dim(C)/(q-1)
-words, and returns the minimum-weight word of lowest message index. The
-cap still bounds q^dim(C). Enumeration is chunked and vectorized: the
-codewords of the low message digits are tabled once with ``gf.matmul``,
-and a chunk is one broadcast comparison against a few high-digit words.
+package. ``min_weight_excluding(C, D)`` finds the minimum weight over
+C \\ D by Brouwer-Zimmermann enumeration: it weighs the words of a few
+disjoint information sets in order of message weight, one word per line
+{lambda*c : lambda != 0}, and stops as soon as the lower bound those sets
+give every unweighed word exceeds the best weight found. Of the
+minimum-weight words it returns the one a scan of C in message order would
+meet first, so its output does not depend on the search order. The cap
+still bounds q^dim(C).
 
 ``min_weight_below`` is the complementary oracle: an increasing-weight
 exhaustive scan that is exact whenever the true distance is small, at cost
@@ -34,7 +33,7 @@ from .errors import (
     NotASubcode,
     ZeroPivot,
 )
-from .gf import FieldCtx, RowSpace, kernel, matmul, rref, solve_right
+from .gf import FieldCtx, RowSpace, frozen, kernel, matmul, rref, solve_right
 from .polycode import powers, support_tb
 
 DEFAULT_CAP = 1 << 30
@@ -184,86 +183,123 @@ def min_weight_excluding(code: LinearCode, subcode: LinearCode,
     """Exact minimum Hamming weight over code \\ subcode, with a witness.
 
     Returns (inf, None) when the two codes coincide. With ``fold_s`` the
-    weight counts nonzero length-``fold_s`` blocks instead of symbols. The
-    cap bounds q^dim(code), the size of the code; a larger code raises
+    weight counts nonzero length-``fold_s`` blocks instead of symbols; a
+    ``fold_s`` that is not a positive divisor of n raises FoldMismatch. The cap
+    bounds q^dim(code), the size of the code; a larger code raises
     CapExceeded.
 
-    The basis is ordered [subcode rows | quotient representatives], so a
-    codeword lies outside the subcode exactly when its message has a nonzero
-    quotient digit. Nonzero scaling keeps the weight and the side of the
-    subcode, so one word per line {lambda*c : lambda != 0} is scanned: the one
-    whose highest nonzero digit is 1, (q^dim(code) - q^dim(subcode))/(q - 1)
-    words in all. The witness is the minimum-weight word of lowest message
-    index, which is the lowest-index member of its line.
+    Brouwer-Zimmermann enumeration (Zimmermann 1996; Grassl 2006). Each set
+    j of ``_information_sets`` has a generator whose first r_j rows are the
+    identity on its r_j columns and whose other rows vanish there. Level L
+    of a set weighs the words of its messages of weight L whose lowest
+    nonzero digit is 1, one word per line {lambda*c : lambda != 0}, and
+    drops the words of the subcode. A codeword that set j has not met by
+    level L has a message of weight at least L + 1 there, so it is nonzero
+    in at least L + 1 - (k - r_j) of set j's columns. Sets advance one level
+    at a time, in turn; once those counts, summed over the disjoint sets,
+    exceed fold_s (or 1) times the best weight, every minimum-weight line has
+    been weighed, since a word of b nonzero blocks has at most fold_s*b
+    nonzero symbols.
+
+    The witness is the minimum-weight word of lowest message index over the
+    basis [subcode rows | quotient representatives], the first one a scan in
+    message order meets: each line's lowest-index word is the one whose
+    message has highest nonzero digit 1.
     """
     ctx = code.ctx
+    s = 1 if fold_s is None else fold_s
+    if s <= 0 or code.n % s:
+        raise FoldMismatch(f"fold_s={fold_s} is not a positive divisor of the block length {code.n}")
     if not subcode.is_subcode_of(code):
         raise NotASubcode("second argument must be a subcode of the first")
-    t = code.dim - subcode.dim
-    if t == 0:
+    k = code.dim
+    if k == subcode.dim:
         return math.inf, None
-    total = ctx.q**code.dim
+    total = ctx.q**k
     if total > cap:
         raise CapExceeded(f"enumeration needs {total} > cap {cap}", required=total)
 
-    basis = np.vstack([subcode.basis, quotient_representatives(ctx, code.basis, subcode.basis)])
-    assert basis.shape[0] == code.dim
+    sets = _information_sets(code)
+    bound = sum(r == k for _, r in sets)  # level 0: a nonzero word is nonzero on each full set
+    count, chunk = np.min_scalar_type(code.n), max(1, _CHUNK_CELLS // code.n)
+    best, found = math.inf, []
+    for level, j in itertools.product(range(1, k + 1), range(len(sets))):
+        for msgs in _line_messages(ctx.q, k, level, chunk):
+            words = matmul(ctx, sets[j][0], msgs)  # column i: the word of message i
+            nonzero = words != 0
+            if s > 1:
+                nonzero = nonzero.reshape(-1, s, nonzero.shape[1]).any(axis=1)
+            w = nonzero.sum(axis=0, dtype=count)
+            keep = w <= best
+            if subcode.dim and keep.any():
+                keep[keep] = subcode.row_space.reduce(words.T[keep]).any(axis=1)
+            if keep.any():
+                low = int(w[keep].min())
+                if low < best:
+                    best, found = low, []
+                found.append(words.T[keep & (w == best)])
+        bound += level + sets[j][1] >= k  # set j's count L + 1 - (k - r_j) is positive
+        if bound > s * best:
+            break
+    return best, _lowest_index_word(code, subcode, np.concatenate(found))
 
-    best = math.inf
-    witness = None
-    for nonzero, word_at in _weight_scan_chunks(ctx, basis, subcode.dim):
-        if fold_s is not None:
-            nonzero = np.any(nonzero.reshape(-1, fold_s, nonzero.shape[1]), axis=1)
-        w = nonzero.sum(axis=0, dtype=np.min_scalar_type(nonzero.shape[0]))
-        i = int(np.argmin(w))
-        if w[i] < best:
-            best = int(w[i])
-            witness = word_at(i)
-            if best == 1:
-                break
-    return best, witness
+
+def _information_sets(code: LinearCode) -> list[tuple[np.ndarray, int]]:
+    """Generators of ``code`` systematic on disjoint column sets, transposed
+    (n x k), with their ranks r_j. The first is the RREF, on its pivots; each
+    next one eliminates the columns no set took yet, placed ahead of the
+    others. A generator of rank r_j < k has its other rows zero on all the
+    columns still untaken."""
+    r, n = code.row_space.pivot_basis, code.n
+    sets = [(frozen(r.T), code.dim)]
+    taken = list(code.row_space.pivots)
+    while len(taken) < n:
+        order = sorted(set(range(n)).difference(taken)) + taken
+        g, pivots = rref(code.ctx, r[:, order])
+        new = [order[c] for c in pivots if c < n - len(taken)]
+        if not new:  # the untaken columns are zero on the whole code
+            break
+        sets.append((frozen(g[:, np.argsort(order)].T), len(new)))
+        taken += new
+    return sets
 
 
-_LOW_TABLE_ROWS = 1 << 14  # the low message digits are tabled once, at most this many rows
-_SCAN_CHUNK = 1 << 19  # words per chunk
+_CHUNK_CELLS = 1 << 20  # codeword symbols weighed at once
 
 
-def _weight_scan_chunks(ctx: FieldCtx, basis: np.ndarray, skip_digits: int):
-    """Chunked stream of one codeword per line, tuned for weight scans.
+def _line_messages(q: int, k: int, weight: int, chunk: int) -> Iterator[np.ndarray]:
+    """The length-k messages of the given weight whose lowest nonzero digit
+    is 1, as columns, at most ``chunk`` at a time: C(k, weight) *
+    (q-1)^(weight-1) in all, one per line."""
+    for digits in _message_chunks(q - 1, weight - 1, chunk):
+        values = np.zeros((weight + 1, len(digits)), dtype=np.int64)  # last row: off the support
+        values[:weight] = 1
+        values[1:weight] += digits.T
+        supports = itertools.combinations(range(k), weight)
+        step = max(1, chunk // len(digits))
+        while batch := list(itertools.islice(supports, step)):
+            at = np.full((k, len(batch)), weight)  # at[i, b]: digit i's place in support b
+            at[np.array(batch).T, np.arange(len(batch))] = np.arange(weight)[:, None]
+            yield values[at].reshape(k, -1)
 
-    Covers, in increasing index order, the messages in [q^j, 2*q^j) for
-    j = ``skip_digits`` .. k-1: those whose highest nonzero digit is 1 and
-    sits at or above position ``skip_digits``. Each word is a row of a table
-    of the low digits' codewords, built once, plus one high-digit codeword;
-    the sum is nonzero exactly where the table entry differs from the
-    negated high codeword, so a chunk is one broadcast comparison and no
-    word is reduced until it is a witness.
 
-    Yields (nonzero, word_at): ``nonzero[j, i]`` tells whether symbol j of
-    the chunk's i-th word is nonzero, and ``word_at(i)`` builds that word.
-    """
-    k, n = basis.shape
-    q = ctx.q
-    small = np.min_scalar_type(q - 1)
-    a = 0
-    while a < k - 1 and q ** (a + 1) <= _LOW_TABLE_ROWS:
-        a += 1
-    table = matmul(ctx, next(_message_chunks(q, a, q**a)), basis[:a])
-    table_t = table.T.astype(small, order="C")
-    for top in range(skip_digits, k):
-        low_digits = min(top, a)
-        rows = q**low_digits
-        for digits in _message_chunks(q, top - low_digits, max(1, _SCAN_CHUNK // rows)):
-            digits = np.pad(digits, ((0, 0), (0, 1)), constant_values=1)  # the top digit is 1
-            high = matmul(ctx, digits, basis[low_digits:top + 1])
-            minus_t = ctx.neg(high).T.astype(small, order="C")
-            nonzero = table_t[:, None, :rows] != minus_t[:, :, None]
+def _lowest_index_word(code: LinearCode, subcode: LinearCode, words: np.ndarray) -> np.ndarray:
+    """Among ``words`` and their multiples, the word of lowest message index
+    over the basis B = [subcode rows | quotient representatives].
 
-            def word_at(i, high=high, rows=rows):
-                h, lo = divmod(i, rows)
-                return ctx.add(table[lo], high[h])
-
-            yield nonzero.reshape(n, -1), word_at
+    On the RREF's pivot columns P a codeword is its own coordinate vector,
+    so one elimination of [[subcode rows; code rows][:, P]^T | I] picks B
+    (its pivot columns, as ``quotient_representatives`` does) and returns
+    the inverse of B[:, P]^T in place of I. Each message is then scaled so
+    its highest nonzero digit is 1, the lowest index on its line."""
+    ctx, k, cols = code.ctx, code.dim, code.row_space.pivots
+    a = np.vstack([subcode.basis[:, cols], code.basis[:, cols]]).T
+    r, _ = rref(ctx, np.hstack([a, np.eye(k, dtype=np.int64)]))
+    msgs = matmul(ctx, words[:, cols], r[:, -k:].T)
+    top = k - 1 - np.argmax(msgs[:, ::-1] != 0, axis=1)
+    scale = ctx.inv(msgs[np.arange(len(msgs)), top])
+    i = int(np.lexsort(ctx.mul(msgs, scale[:, None]).T)[0])
+    return np.asarray(ctx.mul(words[i], scale[i]), dtype=np.int64)
 
 
 def min_weight(code: LinearCode, cap: int = DEFAULT_CAP,

@@ -362,7 +362,7 @@ def main(argv: list[str] | None = None) -> int:
     _add_code_flags(p)
     p.set_defaults(func=cmd_construct)
 
-    p = sub.add_parser("distance", help="exact distance by exhaustive enumeration")
+    p = sub.add_parser("distance", help="exact distance by Brouwer-Zimmermann search")
     _add_code_flags(p)
     p.add_argument("--brute", action="store_true", help="accepted for explicitness")
     p.add_argument("--cap", type=int, default=None,

@@ -14,8 +14,8 @@ and used consistently across the package:
   exactly the classical contract the Tamo-Barg decoders satisfy.
 
 Distance is min weight over (C_Z \\ C_X-dual) union (C_X \\ C_Z-dual),
-computed exactly by exhaustive enumeration (symmetric sides are
-enumerated once).
+computed exactly by ``classical.min_weight_excluding``'s Brouwer-Zimmermann
+search (symmetric sides are searched once).
 """
 
 from __future__ import annotations
@@ -215,8 +215,12 @@ def css_distance_brute(code: CssCode, cap: int = DEFAULT_CAP,
                        fold_s: int | None = None) -> tuple[int, np.ndarray, str]:
     """Exact CSS distance with a witness word and the side it came from.
 
-    Enumerates q^dim(C_Z) + q^dim(C_X) words (once when C_X = C_Z); with
-    ``fold_s`` the distance counts nonzero blocks. Raises ValidationError for k = 0.
+    The minimum weight over C_Z \\ C_X-dual and over C_X \\ C_Z-dual (one
+    search when C_X = C_Z), each from ``classical.min_weight_excluding``,
+    whose witness is the minimum-weight word of lowest message index; a tie
+    goes to Z. The cap bounds q^dim of each code. With ``fold_s`` the distance
+    counts nonzero blocks. Raises ValidationError for k = 0 and FoldMismatch
+    when ``fold_s`` is not a positive divisor of n.
     """
     if code.k == 0:
         raise ValidationError("the code encodes no qudits (k = 0), so it has no distance")

@@ -71,7 +71,7 @@ def test_criterion_02_mid_code_window():
     low = bounds.qtb_distance_lower_ceil(13, 3, 8)
     high = bounds.partition_cap_distance(code.n, code.k, 3)
     assert (low, high) == (3, 4)
-    d, witness, _ = css_distance_brute(code.css)  # 13^5 * 14 = 5,198,102 weights, one word per line
+    d, witness, _ = css_distance_brute(code.css)  # two information sets: 5,558 words of 13^7 weighed
     assert low <= d <= high
     assert np.count_nonzero(witness) == d
     elapsed = time.time() - started

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from qlrc import classical
 from qlrc.classical import (
     FoldedCode,
     LinearCode,
@@ -38,6 +39,7 @@ from qlrc.polycode import (
     support_qtb,
     support_qtb_dual,
 )
+from qlrc.qtb import qtb_new
 
 F7 = field_new(7)
 F13 = field_new(13)
@@ -125,17 +127,20 @@ def test_quotient_representatives_match_the_greedy_rank_loop(q):
         assert np.array_equal(got, _greedy_quotient_representatives(ctx, basis, sub))
 
 
-@pytest.mark.parametrize("q", [7, 8, 9, 13])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 13])
 def test_min_weight_excluding_matches_full_enumeration(q):
+    # k x n: (4, 6) has a second information set of rank at most 2, (1, 6)
+    # one set per nonzero column, and (3, 3) the RREF's pivots alone
     ctx = field_from_order(q)
     rng = np.random.default_rng(q)
-    k, n = 4, 6
-    for _ in range(2):
+    for k, n in ((4, 6), (4, 6), (1, 6), (3, 3)):
         code = LinearCode(ctx, _random_rows(ctx, rng, k, n))
         for sub_dim in range(k + 1):
             mix = _random_rows(ctx, rng, sub_dim, k)
             sub = LinearCode(ctx, matmul(ctx, mix, code.basis).reshape(sub_dim, n))
-            for fold_s in (None, 2):
+            for fold_s in (None, 2, 3):
+                if fold_s is not None and n % fold_s:
+                    continue
                 d, wit = min_weight_excluding(code, sub, fold_s=fold_s)
                 d_ref, wit_ref = _lowest_min_weight_word(code, sub, fold_s)
                 assert d == d_ref
@@ -143,6 +148,24 @@ def test_min_weight_excluding_matches_full_enumeration(q):
                     assert wit is None
                 else:
                     assert wit.dtype == np.int64 and np.array_equal(wit, wit_ref)
+
+
+def test_min_weight_excluding_stops_once_the_lower_bound_passes_the_best_weight(monkeypatch):
+    # C_Z of qTB(13,3,8) has k = 7, information sets of ranks 7 and 5, and
+    # d = 4. After level 2 in both sets the bound is 3 + 1 = 4; level 3 of
+    # the first set raises it to 5 > 4, so the second set's level 3 is skipped.
+    levels = []
+
+    def record(q, k, weight, chunk):
+        levels.append(weight)
+        return line_messages(q, k, weight, chunk)
+
+    line_messages = classical._line_messages
+    monkeypatch.setattr(classical, "_line_messages", record)
+    css = qtb_new(13, 3, 8).css
+    assert [r for _, r in classical._information_sets(css.cz)] == [7, 5]
+    d, _ = min_weight_excluding(css.cz, LinearCode(css.ctx, css.hx))
+    assert d == 4 and levels == [1, 1, 2, 2, 3]
 
 
 @pytest.mark.parametrize("q", [7, 8, 9, 13])
@@ -169,6 +192,15 @@ def test_min_weight_excluding_equal_codes_is_infinite():
 def test_min_weight_excluding_requires_subcode():
     with pytest.raises(NotASubcode):
         min_weight_excluding(rs_code(F7, 3), rs_code(F7, 4))
+
+
+@pytest.mark.parametrize("fold_s", [0, -3, 4, 5])
+def test_min_weight_excluding_rejects_a_fold_that_does_not_divide_n(fold_s):
+    code = rs_code(F7, 3)  # n = 6
+    with pytest.raises(FoldMismatch):
+        min_weight_excluding(code, rs_code(F7, 1), fold_s=fold_s)
+    with pytest.raises(FoldMismatch):
+        min_weight(code, fold_s=fold_s)
 
 
 def test_min_weight_cap():

@@ -19,9 +19,10 @@ from qlrc.css import (
     residual_after_correction,
     syndrome,
 )
-from qlrc.errors import NoCoveringCheck, OrthogonalityViolation, ValidationError
+from qlrc.errors import FoldMismatch, NoCoveringCheck, OrthogonalityViolation, ValidationError
 from qlrc.gf import field_new, matmul
 from qlrc.polycode import powers, support_qtb
+from qlrc.qtb import fqtb_new, qtb_new
 
 F7 = field_new(7)
 F13 = field_new(13)
@@ -59,6 +60,20 @@ def test_css_distance_at_most_quantum_singleton():
         d, _, _ = css_distance_brute(code)
         assert d == expected
         assert d <= singleton_quantum(code.n, code.k)
+
+
+def test_css_distance_brute_pins_the_qtb13_witnesses():
+    # the minimum-weight word of lowest message index, symbol and block weight
+    d, wit, side = css_distance_brute(qtb_new(13, 3, 8).css)
+    assert (d, wit.tolist(), side) == (4, [10, 0, 10, 0, 0, 0, 0, 0, 9, 0, 9, 0], "z")
+    d, wit, side = css_distance_brute(fqtb_new(13, 3, 8, 2).base.css, fold_s=2)
+    assert (d, wit.tolist(), side) == (2, [0, 0, 12, 5, 0, 0, 0, 0, 0, 0, 3, 11], "z")
+
+
+@pytest.mark.parametrize("fold_s", [0, 4])
+def test_css_distance_brute_rejects_a_fold_that_does_not_divide_n(fold_s):
+    with pytest.raises(FoldMismatch):
+        css_distance_brute(qtb_css(7, 3, 4), fold_s=fold_s)  # n = 6
 
 
 def test_zero_error_zero_syndrome_zero_equivalent_correction():
