@@ -1,14 +1,17 @@
 """Classical GF(q)-linear codes: duals, exact weights, erasure decoding.
 
-The exact minimum-weight machinery is the workhorse oracle of the whole
-package. ``min_weight_excluding(C, D)`` finds the minimum weight over
-C \\ D by Brouwer-Zimmermann enumeration: it weighs the words of a few
-disjoint information sets in order of message weight, one word per line
-{lambda*c : lambda != 0}, and stops as soon as the lower bound those sets
-give every unweighed word exceeds the best weight found. Of the
-minimum-weight words it returns the one a scan of C in message order would
-meet first, so its output does not depend on the search order. The cap
-still bounds q^dim(C).
+``min_weight_excluding(C, D)``, the package's exact distance oracle, finds
+the minimum weight over C \\ D by Brouwer-Zimmermann enumeration: it weighs
+words of information sets in order of message weight, one per line
+{lambda*c : lambda != 0}, until the lower bound on every unweighed word
+exceeds the best weight found. The sets are disjoint, unless the shift by
+s positions (s the fold, else 1) maps C and D onto themselves, as it does
+RS, TB and qTB codes and their duals in the omega^i order. Then C \\ D is
+a union of shift orbits, and the RREF set with its n/s shifts serves: the
+search weighs that one set and adds the shifts of the lightest words found.
+Either way it returns the minimum-weight word a scan of C in message order
+meets first, so its output does not depend on the search. The cap still
+bounds q^dim(C).
 
 ``min_weight_below`` is the complementary oracle: an increasing-weight
 exhaustive scan that is exact whenever the true distance is small, at cost
@@ -46,9 +49,10 @@ class LinearCode:
     The basis G is eliminated once, at construction, and everything else is
     read off that RREF. With pivots P and free columns F, the kernel basis H
     (``dual_basis``) has H[:, F] = I: G = [I | A] up to column order gives
-    H = [-A^T | I]. So the RREF rows are the pivot basis of ``row_space``, H
-    with "pivots" F is the pivot basis of ``dual_space``, and the vector that
-    is s on F and 0 elsewhere has syndrome H x = s.
+    H = [-A^T | I]. ``row_space`` holds a pivot basis (the RREF, for a code
+    built from a basis), ``dual_space`` holds H with "pivots" F, and the
+    vector that is s on F and 0 elsewhere has syndrome H x = s. The kernel
+    read off H is the RREF again, so ``dual`` swaps the two spaces.
     """
 
     ctx: FieldCtx
@@ -89,7 +93,12 @@ class LinearCode:
         return self.dual_space.pivot_basis
 
     def dual(self) -> "LinearCode":
-        return LinearCode(self.ctx, self.dual_basis)
+        """The dual code, with basis H and the two spaces swapped: no elimination."""
+        dual = object.__new__(LinearCode)
+        for name, value in (("ctx", self.ctx), ("basis", self.dual_basis), ("support", None),
+                            ("row_space", self.dual_space), ("dual_space", self.row_space)):
+            object.__setattr__(dual, name, value)
+        return dual
 
     def same_row_space(self, other: "LinearCode") -> bool:
         return (self.ctx == other.ctx and self.n == other.n and self.dim == other.dim
@@ -183,28 +192,37 @@ def min_weight_excluding(code: LinearCode, subcode: LinearCode,
     """Exact minimum Hamming weight over code \\ subcode, with a witness.
 
     Returns (inf, None) when the two codes coincide. With ``fold_s`` the
-    weight counts nonzero length-``fold_s`` blocks instead of symbols; a
-    ``fold_s`` that is not a positive divisor of n raises FoldMismatch. The cap
-    bounds q^dim(code), the size of the code; a larger code raises
-    CapExceeded.
+    weight counts nonzero length-``fold_s`` blocks; a ``fold_s`` that is not
+    a positive divisor of n raises FoldMismatch. The cap bounds q^dim(code);
+    a larger code raises CapExceeded.
 
     Brouwer-Zimmermann enumeration (Zimmermann 1996; Grassl 2006). Each set
     j of ``_information_sets`` has a generator whose first r_j rows are the
     identity on its r_j columns and whose other rows vanish there. Level L
     of a set weighs the words of its messages of weight L whose lowest
     nonzero digit is 1, one word per line {lambda*c : lambda != 0}, and
-    drops the words of the subcode. A codeword that set j has not met by
-    level L has a message of weight at least L + 1 there, so it is nonzero
-    in at least L + 1 - (k - r_j) of set j's columns. Sets advance one level
-    at a time, in turn; once those counts, summed over the disjoint sets,
-    exceed fold_s (or 1) times the best weight, every minimum-weight line has
-    been weighed, since a word of b nonzero blocks has at most fold_s*b
-    nonzero symbols.
+    drops the words of the subcode. A word that set j has not met by level
+    L has a message of weight at least L + 1 there, so it is nonzero in at
+    least L + 1 - (k - r_j) of set j's columns. With s = fold_s (or 1), a
+    word of b nonzero blocks has at most s*b nonzero symbols.
+
+    Disjoint sets advance one level at a time, in turn, until those counts,
+    summed over the sets, exceed s times the best weight. But when the shift
+    by s positions maps both codes onto themselves (one column gather and
+    one ``contains`` each), only the RREF set is weighed, until n(L + 1) >
+    s*k*best. Then a word of b <= best nonzero blocks has a weighed shift:
+    otherwise each of its n/s shifts, all in code \\ subcode, is nonzero on
+    at least L + 1 pivots; summed over the shifts, a nonzero symbol at i
+    counts once per pivot in i's class mod s, so at most k per nonzero
+    block, and b*k >= (n/s)(L + 1) > k*best. So adding the n/s shifts of
+    the words found puts every minimum-weight line in the pool, as the
+    disjoint sets do by meeting each one.
 
     The witness is the minimum-weight word of lowest message index over the
     basis [subcode rows | quotient representatives], the first one a scan in
     message order meets: each line's lowest-index word is the one whose
-    message has highest nonzero digit 1.
+    message has highest nonzero digit 1. It depends on the pool only
+    through the set of lines in it, so the shift rule cannot change it.
     """
     ctx = code.ctx
     s = 1 if fold_s is None else fold_s
@@ -219,8 +237,11 @@ def min_weight_excluding(code: LinearCode, subcode: LinearCode,
     if total > cap:
         raise CapExceeded(f"enumeration needs {total} > cap {cap}", required=total)
 
-    sets = _information_sets(code)
+    orbit = (np.arange(code.n) + np.arange(0, code.n, s)[:, None]) % code.n  # row j: shift by j*s
+    cyclic = code.contains(code.basis[:, orbit[-1]]) and subcode.contains(subcode.basis[:, orbit[-1]])
+    sets = list(itertools.islice(_information_sets(code), 1 if cyclic else None))
     bound = sum(r == k for _, r in sets)  # level 0: a nonzero word is nonzero on each full set
+    counted, per_block = (code.n, s * k) if cyclic else (1, s)  # see the docstring
     count, chunk = np.min_scalar_type(code.n), max(1, _CHUNK_CELLS // code.n)
     best, found = math.inf, []
     for level, j in itertools.product(range(1, k + 1), range(len(sets))):
@@ -239,19 +260,22 @@ def min_weight_excluding(code: LinearCode, subcode: LinearCode,
                     best, found = low, []
                 found.append(words.T[keep & (w == best)])
         bound += level + sets[j][1] >= k  # set j's count L + 1 - (k - r_j) is positive
-        if bound > s * best:
+        if bound * counted > per_block * best:
             break
-    return best, _lowest_index_word(code, subcode, np.concatenate(found))
+    found = np.concatenate(found)
+    if cyclic:  # every shift of a minimum-weight word, in one gather
+        found = found[:, orbit]
+    return best, _lowest_index_word(code, subcode, found.reshape(-1, code.n))
 
 
-def _information_sets(code: LinearCode) -> list[tuple[np.ndarray, int]]:
+def _information_sets(code: LinearCode) -> Iterator[tuple[np.ndarray, int]]:
     """Generators of ``code`` systematic on disjoint column sets, transposed
     (n x k), with their ranks r_j. The first is the RREF, on its pivots; each
     next one eliminates the columns no set took yet, placed ahead of the
     others. A generator of rank r_j < k has its other rows zero on all the
     columns still untaken."""
     r, n = code.row_space.pivot_basis, code.n
-    sets = [(frozen(r.T), code.dim)]
+    yield frozen(r.T), code.dim
     taken = list(code.row_space.pivots)
     while len(taken) < n:
         order = sorted(set(range(n)).difference(taken)) + taken
@@ -259,9 +283,8 @@ def _information_sets(code: LinearCode) -> list[tuple[np.ndarray, int]]:
         new = [order[c] for c in pivots if c < n - len(taken)]
         if not new:  # the untaken columns are zero on the whole code
             break
-        sets.append((frozen(g[:, np.argsort(order)].T), len(new)))
+        yield frozen(g[:, np.argsort(order)].T), len(new)
         taken += new
-    return sets
 
 
 _CHUNK_CELLS = 1 << 20  # codeword symbols weighed at once

@@ -122,15 +122,10 @@ def cmd_distance(args) -> int:
     built = descriptor.build(_descriptor_from_args(args))
     fam, obj = built.family, built.obj
     cap = args.cap if args.cap else DEFAULT_CAP
-    if fam in ("qtb", "fqtb"):
-        css = obj.css if fam == "qtb" else obj.base.css
-        fold = obj.s if fam == "fqtb" else None
+    if fam in ("qtb", "fqtb", "random_qlrc"):
+        css, fold = (obj.base.css, obj.s) if fam == "fqtb" else (obj.css, None)
         d, witness, side = css_distance_brute(css, cap=cap, fold_s=fold)
-        out = {"family": fam, "distance": int(d), "side": side,
-               "witness": witness.tolist()}
-    elif fam == "random_qlrc":
-        d, witness, side = css_distance_brute(obj.css, cap=cap)
-        out = {"family": fam, "distance": int(d), "side": side,
+        out = {"family": fam, "distance_blocks" if fold else "distance": int(d), "side": side,
                "witness": witness.tolist()}
     elif fam in ("rs", "tb"):
         d, witness = min_weight(obj, cap=cap)

@@ -224,13 +224,11 @@ def css_distance_brute(code: CssCode, cap: int = DEFAULT_CAP,
     """
     if code.k == 0:
         raise ValidationError("the code encodes no qudits (k = 0), so it has no distance")
-    sub_x_dual = LinearCode(code.ctx, code.hx)
-    d_z, wit_z = min_weight_excluding(code.cz, sub_x_dual, cap=cap, fold_s=fold_s)
+    d_z, wit_z = min_weight_excluding(code.cz, code.cx.dual(), cap=cap, fold_s=fold_s)
     if code.symmetric:
         d_x, wit_x = d_z, wit_z
     else:
-        sub_z_dual = LinearCode(code.ctx, code.hz)
-        d_x, wit_x = min_weight_excluding(code.cx, sub_z_dual, cap=cap, fold_s=fold_s)
+        d_x, wit_x = min_weight_excluding(code.cx, code.cz.dual(), cap=cap, fold_s=fold_s)
     if d_z <= d_x:
         return int(d_z), wit_z, "z"
     return int(d_x), wit_x, "x"

@@ -32,7 +32,7 @@ from qlrc.errors import (
     NotASubcode,
     ZeroPivot,
 )
-from qlrc.gf import field_from_order, field_new, matmul, rank, rref
+from qlrc.gf import field_from_order, field_new, kernel, matmul, rank, rref
 from qlrc.polycode import (
     coset_index_groups,
     evaluate_values,
@@ -64,6 +64,24 @@ def test_bidual_identity_random():
             continue
         c = LinearCode(F7, rows)
         assert c.dual().dual().same_row_space(c)
+
+
+def test_dual_swaps_the_two_spaces_without_an_elimination(monkeypatch):
+    # the kernel read off H's pivot basis is G's RREF, pivots included
+    rng = np.random.default_rng(8)
+    for q in (2, 5, 8, 9, 13):
+        ctx = field_from_order(q)
+        for _ in range(8):
+            n = int(rng.integers(1, 9))
+            c = LinearCode(ctx, _random_rows(ctx, rng, int(rng.integers(0, n + 1)), n))
+            r, pivots = kernel(ctx, c.dual_space.pivot_basis, c.dual_space.pivots)
+            assert pivots == c.row_space.pivots.tolist()
+            assert r.dtype == np.int64 and np.array_equal(r, c.row_space.pivot_basis)
+    c, calls = rs_code(F13, 5), []
+    monkeypatch.setattr(classical, "rref", lambda *args: calls.append(args))
+    d = c.dual()
+    assert calls == [] and np.array_equal(d.basis, d.row_space.pivot_basis)
+    assert d.dim == 7 and d.row_space.dim == 7 and d.dual_space.dim == 5
 
 
 def test_min_weight_excluding_qtb734_sandwich():
@@ -150,22 +168,71 @@ def test_min_weight_excluding_matches_full_enumeration(q):
                     assert wit.dtype == np.int64 and np.array_equal(wit, wit_ref)
 
 
-def test_min_weight_excluding_stops_once_the_lower_bound_passes_the_best_weight(monkeypatch):
-    # C_Z of qTB(13,3,8) has k = 7, information sets of ranks 7 and 5, and
-    # d = 4. After level 2 in both sets the bound is 3 + 1 = 4; level 3 of
-    # the first set raises it to 5 > 4, so the second set's level 3 is skipped.
-    levels = []
+@pytest.fixture
+def levels(monkeypatch):
+    """The message weights the search weighs, in order, one per set and level."""
+    seen, line_messages = [], classical._line_messages
 
     def record(q, k, weight, chunk):
-        levels.append(weight)
+        seen.append(weight)
         return line_messages(q, k, weight, chunk)
 
-    line_messages = classical._line_messages
     monkeypatch.setattr(classical, "_line_messages", record)
+    return seen
+
+
+def test_min_weight_excluding_stops_once_the_lower_bound_passes_the_best_weight(levels):
+    # C_Z of qTB(13,3,8) has n = 12, k = 7 and d = 4, and it and C_X-dual are
+    # shift-invariant: the RREF set alone stops after level 2, at 12 * 3 > 7 * 4.
+    # With the columns reordered the shift symmetry is gone. The information
+    # sets have ranks 7 and 5; after level 2 in both the bound is 3 + 1 = 4,
+    # and level 3 of the first set raises it to 5 > 4, so the second set's
+    # level 3 is skipped.
     css = qtb_new(13, 3, 8).css
     assert [r for _, r in classical._information_sets(css.cz)] == [7, 5]
     d, _ = min_weight_excluding(css.cz, LinearCode(css.ctx, css.hx))
+    assert d == 4 and levels == [1, 2]
+    order = list(range(0, 12, 2)) + list(range(1, 12, 2))
+    levels.clear()
+    d, _ = min_weight_excluding(LinearCode(css.ctx, css.cz.basis[:, order]),
+                                LinearCode(css.ctx, css.hx[:, order]))
     assert d == 4 and levels == [1, 1, 2, 2, 3]
+
+
+@pytest.mark.parametrize("q", [7, 8, 9, 13])
+def test_min_weight_excluding_on_shift_invariant_codes_matches_full_enumeration(q, levels):
+    # RS codes, their RS subcodes and the zero code are invariant under every
+    # shift of the omega^i order, so the RREF set alone is weighed: no level repeats
+    ctx = field_from_order(q)
+    zero = LinearCode(ctx, np.zeros((0, q - 1), dtype=np.int64))
+    for ell in range(1, 5):
+        code = rs_code(ctx, ell)
+        for sub in [zero] + [rs_code(ctx, e) for e in range(1, ell)]:
+            for fold_s in (None, 2, 3):
+                if fold_s is not None and (q - 1) % fold_s:
+                    continue
+                levels.clear()
+                d, wit = min_weight_excluding(code, sub, fold_s=fold_s)
+                assert levels == list(range(1, len(levels) + 1))
+                d_ref, wit_ref = _lowest_min_weight_word(code, sub, fold_s)
+                assert d == d_ref and np.array_equal(wit, wit_ref)
+
+
+def test_min_weight_excluding_keeps_the_disjoint_sets_for_a_subcode_without_the_symmetry(levels):
+    # RS(8, 4) over GF(9) is shift-invariant and a random 2-dimensional subcode
+    # is not, so both information sets of rank 4 are weighed level by level
+    ctx = field_from_order(9)
+    rng = np.random.default_rng(9)
+    code = rs_code(ctx, 4)
+    for _ in range(4):
+        sub = LinearCode(ctx, matmul(ctx, _random_rows(ctx, rng, 2, 4), code.basis))
+        assert not sub.contains(np.roll(sub.basis, 1, axis=1))
+        for fold_s in (None, 2):
+            levels.clear()
+            d, wit = min_weight_excluding(code, sub, fold_s=fold_s)
+            assert levels[:2] == [1, 1]
+            d_ref, wit_ref = _lowest_min_weight_word(code, sub, fold_s)
+            assert d == d_ref and np.array_equal(wit, wit_ref)
 
 
 @pytest.mark.parametrize("q", [7, 8, 9, 13])

@@ -50,6 +50,15 @@ def test_distance_qtb734(capsys):
     assert json.loads(out)["distance"] == 2
 
 
+def test_distance_fqtb_counts_blocks(capsys):
+    code, out, _ = run(capsys, "distance", "--family", "fqtb", "--q", "13",
+                       "--r", "3", "--ell", "8", "--s", "2")
+    got = json.loads(out)
+    assert code == 0 and "distance" not in got
+    assert (got["distance_blocks"], got["side"]) == (2, "z")
+    assert np.count_nonzero(got["witness"]) == 4  # two whole blocks
+
+
 def test_distance_rs_small(capsys):
     code, out, _ = run(capsys, "distance", "--family", "rs", "--q", "7", "--ell", "4")
     assert code == 0
