@@ -222,7 +222,9 @@ def min_weight_excluding(code: LinearCode, subcode: LinearCode,
     basis [subcode rows | quotient representatives], the first one a scan in
     message order meets: each line's lowest-index word is the one whose
     message has highest nonzero digit 1. It depends on the pool only
-    through the set of lines in it, so the shift rule cannot change it.
+    through the set of lines in it, so the shift rule cannot change it. Nor
+    can the pool bound: past one chunk, the pool's shifts are replaced by
+    their lowest-index word, whose shifts lie on lines already in the pool.
     """
     ctx = code.ctx
     s = 1 if fold_s is None else fold_s
@@ -239,6 +241,7 @@ def min_weight_excluding(code: LinearCode, subcode: LinearCode,
 
     orbit = (np.arange(code.n) + np.arange(0, code.n, s)[:, None]) % code.n  # row j: shift by j*s
     cyclic = code.contains(code.basis[:, orbit[-1]]) and subcode.contains(subcode.basis[:, orbit[-1]])
+    orbit = orbit if cyclic else orbit[:1]  # the shifts of a found word that join the pool
     sets = list(itertools.islice(_information_sets(code), 1 if cyclic else None))
     bound = sum(r == k for _, r in sets)  # level 0: a nonzero word is nonzero on each full set
     counted, per_block = (code.n, s * k) if cyclic else (1, s)  # see the docstring
@@ -259,13 +262,13 @@ def min_weight_excluding(code: LinearCode, subcode: LinearCode,
                 if low < best:
                     best, found = low, []
                 found.append(words.T[keep & (w == best)])
+                if sum(map(len, found)) * len(orbit) > chunk:  # see the docstring
+                    pool = np.concatenate(found)[:, orbit].reshape(-1, code.n)
+                    found = [_lowest_index_word(code, subcode, pool)[None]]
         bound += level + sets[j][1] >= k  # set j's count L + 1 - (k - r_j) is positive
         if bound * counted > per_block * best:
             break
-    found = np.concatenate(found)
-    if cyclic:  # every shift of a minimum-weight word, in one gather
-        found = found[:, orbit]
-    return best, _lowest_index_word(code, subcode, found.reshape(-1, code.n))
+    return best, _lowest_index_word(code, subcode, np.concatenate(found)[:, orbit].reshape(-1, code.n))
 
 
 def _information_sets(code: LinearCode) -> Iterator[tuple[np.ndarray, int]]:

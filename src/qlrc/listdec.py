@@ -5,9 +5,12 @@ within the requested radius (every candidate is distance-filtered before
 it is returned, so the output is exact, never a superset):
 
 * the syndrome decoder, with erasures, for radii up to the unique-decoding
-  bound: Berlekamp-Massey on the power sums of the error (J. Massey, 1969),
-  Chien search and Forney's error values (G. D. Forney, 1965). At those
-  radii Hamming balls are disjoint, so its one candidate is the whole list.
+  bound. Berlekamp-Massey on the power sums of the error (J. Massey, 1969)
+  is its one scalar loop, on Python ints; the Chien search, Omega (against
+  the syndromes' Toeplitz matrix) and the interpolant of Forney's error
+  values (G. D. Forney, 1965) are products, and Psi' and the values array
+  operations. At those radii Hamming balls are disjoint, so its one
+  candidate is the whole list, and its error positions are its distance.
 * Guruswami-Sudan bivariate interpolation with multiplicities, up to the
   Johnson radius (q-1)(1 - sqrt(ell/(q-1))). The multiplicity needed
   grows without bound as the radius approaches Johnson; calls that would
@@ -40,7 +43,7 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .classical import FoldedCode, LinearCode, block_weight, iter_codeword_chunks
+from .classical import FoldedCode, LinearCode, iter_codeword_chunks
 from .errors import CapExceeded, RadiusTooLarge, ValidationError
 from .gf import FieldCtx, frozen, matmul, nullspace, solve_right
 from .polycode import element_powers, eval_table, evaluate_values, powers
@@ -121,39 +124,16 @@ def list_decode_rs(ctx: FieldCtx, ell: int, received: np.ndarray, e: int,
     if e < 0:
         raise ValidationError("radius must be nonnegative")
     if e > johnson_radius_rs(ctx.q, ell):
-        raise RadiusTooLarge(
-            f"e={e} exceeds the Johnson radius {johnson_radius_rs(ctx.q, ell)}")
+        raise RadiusTooLarge(f"e={e} exceeds the Johnson radius {johnson_radius_rs(ctx.q, ell)}")
 
-    if e <= (n - ell) // 2:
-        f = rs_unique_decode(ctx, ell, received)
-        cands = [] if f is None else [f]
-    else:
-        cands = _guruswami_sudan(ctx, ell, received, e, m_cap)
+    if e <= (n - ell) // 2:  # one candidate at most, at the distance the decoder counts
+        out = _syndrome_decode(ctx, ell, received, None)
+        return [] if out is None or len(out[1]) > e else [out[0]]
+    cands = _guruswami_sudan(ctx, ell, received, e, m_cap)
     out = _dedupe_sorted([c for c in cands
                           if np.count_nonzero(evaluate_values(ctx, c) != received) <= e])
     assert all(len(c) == ell for c in out)
     return out
-
-
-class _PrimeOps:
-    """Scalar arithmetic of GF(p) on Python ints."""
-
-    def __init__(self, p: int):
-        self.p = p
-
-    def mul(self, a: int, b: int) -> int:
-        return a * b % self.p
-
-    def inv(self, a: int) -> int:
-        return pow(a, self.p - 2, self.p)
-
-    def dot(self, a: list[int], b: list[int]) -> int:
-        return sum(map(operator.mul, a, b)) % self.p
-
-    def sub_scaled(self, a: list[int], c: int, b: list[int], shift: int) -> list[int]:
-        """a - c * z^shift * b, cut to the length of a."""
-        end = shift + len(b)
-        return a[:shift] + [(x - c * y) % self.p for x, y in zip(a[shift:end], b)] + a[end:]
 
 
 class _ExtOps:
@@ -183,15 +163,13 @@ class _ExtOps:
     def dot(self, a: list[int], b: list[int]) -> int:
         return reduce(self.add, map(self.mul, a, b), 0)
 
-    def sub_scaled(self, a: list[int], c: int, b: list[int], shift: int) -> list[int]:
-        """a - c * z^shift * b, cut to the length of a."""
-        c, end = self.mul(c, self.minus_one), shift + len(b)
-        return a[:shift] + [self.add(x, self.mul(c, y)) for x, y in zip(a[shift:end], b)] + a[end:]
+    def sub_scaled(self, a: list[int], c: int, b: list[int]) -> list[int]:
+        """a - c * b, cut to the shorter of the two."""
+        c = self.mul(c, self.minus_one)
+        return [self.add(x, self.mul(c, y)) for x, y in zip(a, b)]
 
 
-@lru_cache(maxsize=8)
-def _scalar_ops(ctx: FieldCtx) -> _PrimeOps | _ExtOps:
-    return _PrimeOps(ctx.p) if ctx.m == 1 else _ExtOps(ctx)
+_ext_ops = lru_cache(maxsize=8)(_ExtOps)  # one set of tables per field
 
 
 @lru_cache(maxsize=4)
@@ -201,43 +179,55 @@ def _idft_matrix(ctx: FieldCtx) -> np.ndarray:
     return frozen(ctx.neg(powers(ctx, -np.arange(ctx.q - 1))))
 
 
-def _berlekamp_massey(ops: _PrimeOps | _ExtOps, syn: list[int], gamma: list[int],
+def _berlekamp_massey(ctx: FieldCtx, syn: list[int], gamma: list[int],
                       t: int) -> tuple[list[int], int]:
     """Psi = Lambda * Gamma and deg Lambda from the power sums syn[:rho + 2t].
 
     Massey's shift-register synthesis started from the erasure locator Gamma
     of degree rho: the discrepancy at step k is coefficient rho + k of
-    Psi * S, so this is the run on the Forney syndromes Gamma * S.
+    Psi * S, so this is the run on the Forney syndromes Gamma * S. GF(p)
+    arithmetic is inline on Python ints; GF(p^m) goes through ``_ExtOps``.
     """
+    ext, p = (_ext_ops(ctx) if ctx.m > 1 else None), ctx.p
     rho = len(gamma) - 1
     psi = gamma + [0] * (2 * t)  # deg Psi <= rho + deg Lambda <= rho + 2t
-    prev, errs, shift, scale = gamma, 0, 0, 1  # lists cut to their degree bound
+    prev, errs, shift, scale = gamma, 0, 0, 1  # prev is cut to its degree bound
     rsyn, top = syn[::-1], len(syn) - 1 - rho
     for k in range(2 * t):
         shift += 1
-        d = ops.dot(psi[: rho + errs + 1], rsyn[top - k:])  # sum_j Psi_j S_(rho + k - j)
-        if d:
-            new = ops.sub_scaled(psi, ops.mul(d, scale), prev, shift)
+        s = rsyn[top - k: top - k + rho + errs + 1]  # d = sum_j Psi_j S_(rho + k - j)
+        d = ext.dot(psi, s) if ext else sum(map(operator.mul, psi, s)) % p
+        if d:  # Psi -= d * scale * z^shift * prev
+            lo, hi, c = shift, shift + len(prev), (ext.mul(d, scale) if ext else d * scale % p)
+            new = (ext.sub_scaled(psi[lo:hi], c, prev) if ext
+                   else [(x - c * y) % p for x, y in zip(psi[lo:hi], prev)])
             if 2 * errs <= k:
-                prev, errs, shift, scale = psi[: rho + errs + 1], k + 1 - errs, 0, ops.inv(d)
-            psi = new
+                prev, errs, shift = psi[: rho + errs + 1], k + 1 - errs, 0
+                scale = ext.inv(d) if ext else pow(d, -1, p)
+            psi[lo:hi] = new
     return psi[: rho + errs + 1], errs
 
 
 def rs_unique_decode(ctx: FieldCtx, ell: int, received: np.ndarray,
                      erased: np.ndarray | None = None) -> np.ndarray | None:
-    """Errors-and-erasures syndrome decoder for RS(q, ell) on GF(q)*.
+    """Errors-and-erasures syndrome decoder for RS(q, ell) on GF(q)*: the message of
+    the codeword within t = (N - ell)//2 errors of ``received`` on its N unerased
+    positions (there is at most one), or None when there is none or N < ell."""
+    out = _syndrome_decode(ctx, ell, received, erased)
+    return None if out is None else out[0]
 
-    Returns the length-ell message of the codeword within t = (N - ell)//2
-    errors of ``received`` on its N unerased positions (there is at most
-    one), or None when there is none or N < ell. The interpolant c of
-    ``received`` has c[ell + k] = S_k = sum_i Y_i X_i^k over the error and
-    erasure positions i, X_i = omega^-i and Y_i = -e_i X_i^ell. BM on
-    rho + 2t of them gives Psi, whose zeros omega^i are the positions;
-    Forney's formula gives e_i = omega^(i(ell-1)) Omega(omega^i)/Psi'(omega^i),
-    Omega = S * Psi mod z^deg(Psi) (BM leaves no higher terms below rho + 2t).
-    The answer is c minus the interpolant of e, if that has degree < ell.
-    """
+
+def _syndrome_decode(ctx: FieldCtx, ell: int, received: np.ndarray,
+                     erased: np.ndarray | None) -> tuple[np.ndarray, np.ndarray] | None:
+    """``rs_unique_decode``'s message, and where its codeword differs from ``received``.
+
+    The interpolant c of ``received`` has c[ell + k] = S_k = sum_i Y_i X_i^k
+    over the error and erasure positions i, X_i = omega^-i, Y_i = -e_i X_i^ell.
+    BM on rho + 2t of them gives Psi, whose zeros omega^i (a one-product Chien
+    search) are the positions. Forney: e_i = omega^(i(ell-1)) Omega/Psi' at
+    omega^i, Omega = S * Psi mod z^deg(Psi) (BM leaves no higher terms below
+    rho + 2t) being one product with the Toeplitz matrix of S. The answer is
+    c minus the interpolant of e, if that has degree < ell."""
     n = ctx.q - 1
     where = [] if erased is None else np.flatnonzero(erased).tolist()
     rho = len(where)
@@ -247,28 +237,30 @@ def rs_unique_decode(ctx: FieldCtx, ell: int, received: np.ndarray,
     c = matmul(ctx, idft, received)
     syn = c[ell:].tolist()
     if not any(syn):
-        return c[:ell]
-    ops, t = _scalar_ops(ctx), (n - rho - ell) // 2
+        return c[:ell], np.empty(0, dtype=np.int64)  # received is a codeword
     gamma = [1]
     for i in where:  # Gamma *= 1 - omega^-i z
-        gamma = ops.sub_scaled(gamma + [0], int(ctx.units()[-i % n]), gamma, 1)
-    psi, errs = _berlekamp_massey(ops, syn, gamma, t)
-    deg = rho + errs
+        gamma = ctx.sub(np.append(gamma, 0), ctx.mul(ctx.units()[-i % n], np.insert(gamma, 0, 0))).tolist()
+    t = (n - rho - ell) // 2
+    psi, errs = _berlekamp_massey(ctx, syn, gamma, t)
     if errs > t:
         return None
-    omega = [ops.dot(psi, syn[k::-1]) for k in range(deg)] + [0]
-    deriv = [ops.mul(k % ctx.p, psi[k]) for k in range(1, deg + 1)] + [0]
-    psi_at, omega_at, deriv_at = matmul(ctx, [psi, omega, deriv], eval_table(ctx, deg + 1))
-    pos = np.flatnonzero(psi_at == 0)
-    denom = deriv_at[pos].tolist()
-    if len(pos) != deg or 0 in denom:
+    psi, deg = np.array(psi, dtype=np.int64), rho + errs
+    pos = (matmul(ctx, psi, table := eval_table(ctx, deg + 1)) == 0).nonzero()[0]
+    if len(pos) != deg:
         return None
-    e = [ops.mul(ops.mul(x, y), ops.inv(z)) for x, y, z in
-         zip(ctx.units()[pos * (ell - 1) % n].tolist(), omega_at[pos].tolist(), denom)]
+    j, polys = np.arange(deg), np.empty((2, deg), dtype=np.int64)  # Omega, Psi'
+    lag = j - j[:, None]  # row m, column k: S_(k-m), zero for k < m
+    polys[0] = matmul(ctx, psi[:deg], np.where(lag >= 0, c[ell:][lag], 0))
+    polys[1] = ctx.mul((j + 1) % ctx.p, psi[1:])
+    omega_at, deriv_at = matmul(ctx, polys, table[:deg, pos])
+    if not deriv_at.all():
+        return None
+    e = ctx.div(ctx.mul(ctx.units()[pos * (ell - 1) % n], omega_at), deriv_at)
     e_coeffs = matmul(ctx, e, idft[pos])
     if e_coeffs[ell:].tolist() != syn:
         return None
-    return ctx.sub(c[:ell], e_coeffs[:ell])
+    return ctx.sub(c[:ell], e_coeffs[:ell]), pos[e != 0]
 
 
 def _binom_table(ctx: FieldCtx, rows: int, cols: int) -> np.ndarray:
@@ -354,6 +346,7 @@ class FrsParams:
     windows: int  # equations per block, s - v + 1
 
 
+@lru_cache(maxsize=None)
 def frs_achieved_radius(q: int, ell: int, s: int) -> FrsParams:
     """Guaranteed radius of the linear-algebraic decoder at the v cap.
 
@@ -371,9 +364,7 @@ def frs_achieved_radius(q: int, ell: int, s: int) -> FrsParams:
         d = max(0, -(-(constraints + 1 - ell - v) // (v + 1)))
         t_min = -(-(d + ell) // windows)
         e = n_blocks - t_min
-        if e < 0:
-            continue
-        if best is None or e > best.e:
+        if e >= 0 and (best is None or e > best.e):
             best = FrsParams(e=e, v=v, d=d, windows=windows)
     if best is None:
         best = FrsParams(e=0, v=1, d=max(0, (q - 1) - ell), windows=s)
@@ -408,10 +399,8 @@ def list_decode_frs(ctx: FieldCtx, ell: int, s: int, blocks: np.ndarray, e: int)
     if e > params.e:
         raise RadiusTooLarge(f"e={e} exceeds the achieved folded radius {params.e}")
     if s * e <= (n - ell) // 2:
-        f = rs_unique_decode(ctx, ell, blocks.reshape(-1))
-        if f is None or block_weight(evaluate_values(ctx, f) != blocks.reshape(-1), s) > e:
-            return []
-        return [f]
+        out = _syndrome_decode(ctx, ell, blocks.reshape(-1), None)
+        return [] if out is None or len(set((out[1] // s).tolist())) > e else [out[0]]
     v, d, windows = params.v, params.d, params.windows
 
     # one row per window (block b, offset j) at x = omega^(b*s + j):

@@ -35,7 +35,7 @@ from .bounds import decode_radius_qtb, fqtb_distance_lower, frs_e_prime_for_radi
 from .classical import block_weight
 from .css import PauliError, check_error, contract_decode
 from .errors import DecodingFailed
-from .gf import FieldCtx, coset_stride
+from .gf import FieldCtx, coset_stride, frozen
 from .listdec import (
     best_feasible_radius_rs,
     frs_achieved_radius,
@@ -50,6 +50,22 @@ DEC_MULTIPLICITY_CAP = 2  # interpolation multiplicity budget inside the decoder
 
 # -- distance to the piecewise-linear space ----------------------------------------
 
+@lru_cache(maxsize=16)
+def _inverse_positions(ctx: FieldCtx, r: int, s: int) -> np.ndarray:
+    """1/x at every position, shaped (group, r, s) as the slopes are; read-only."""
+    return frozen(ctx.inv(ctx.units()).reshape(r, -1, s).transpose(1, 0, 2))
+
+
+def _piecewise_distance(ctx: FieldCtx, blocks: np.ndarray, r: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """The counting half of ``_piecewise_fit`` (``_decode`` reads its distance
+    alone): the distance, the slopes value/position shaped (group, r, s), and
+    per block how many blocks of its coset group share its slope row."""
+    s = blocks.shape[1]
+    slopes = ctx.mul(blocks.reshape(r, -1, s).transpose(1, 0, 2), _inverse_positions(ctx, r, s))
+    counts = np.all(slopes[:, :, None, :] == slopes[:, None, :, :], axis=3).sum(axis=2)
+    return int(counts.size - counts.max(axis=1).sum()), slopes, counts
+
+
 def _piecewise_fit(ctx: FieldCtx, blocks: np.ndarray, r: int) -> tuple[int, np.ndarray]:
     """Folded distance of (n/s, s) blocks to the piecewise-linear space, with witness.
 
@@ -60,18 +76,15 @@ def _piecewise_fit(ctx: FieldCtx, blocks: np.ndarray, r: int) -> tuple[int, np.n
     smallest row. The group contributes r minus that count.
     """
     n_blocks, s = blocks.shape
-    units = ctx.units().reshape(r, -1, s).transpose(1, 0, 2)  # (group, r, s)
-    slopes = ctx.div(blocks.reshape(r, -1, s).transpose(1, 0, 2), units)
-    agree = np.all(slopes[:, :, None, :] == slopes[:, None, :, :], axis=3)
-    counts = agree.sum(axis=2)
+    dist, slopes, counts = _piecewise_distance(ctx, blocks, r)
     best = counts.max(axis=1)
     pick = counts == best[:, None]
     for k in range(s):  # keep the rows that are smallest in columns 0..k
         col = np.where(pick, slopes[:, :, k], ctx.q)
         pick &= col == col.min(axis=1, keepdims=True)
     beta = slopes[np.arange(len(best)), pick.argmax(axis=1)]
-    witness = ctx.mul(beta[:, None, :], units).transpose(1, 0, 2).reshape(n_blocks, s)
-    return int(r * len(best) - best.sum()), witness
+    witness = ctx.mul(beta[:, None, :], ctx.units().reshape(r, -1, s).transpose(1, 0, 2))
+    return dist, witness.transpose(1, 0, 2).reshape(n_blocks, s)
 
 
 def dist_to_piecewise(ctx: FieldCtx, values: np.ndarray, r: int) -> tuple[int, np.ndarray]:
@@ -80,13 +93,11 @@ def dist_to_piecewise(ctx: FieldCtx, values: np.ndarray, r: int) -> tuple[int, n
     Per coset the best approximation is beta*x for the modal slope beta of
     value/position; ties break toward the smaller beta for determinism.
     """
-    values = np.asarray(values, dtype=np.int64)
-    dist, witness = _piecewise_fit(ctx, values.reshape(-1, 1), r)
+    dist, witness = _piecewise_fit(ctx, np.asarray(values, dtype=np.int64).reshape(-1, 1), r)
     return dist, witness.reshape(-1)
 
 
-def dist_to_piecewise_folded(ctx: FieldCtx, blocks: np.ndarray, r: int,
-                             ) -> tuple[int, np.ndarray]:
+def dist_to_piecewise_folded(ctx: FieldCtx, blocks: np.ndarray, r: int) -> tuple[int, np.ndarray]:
     """Exact folded distance to the piecewise-linear space, with witness."""
     return _piecewise_fit(ctx, np.asarray(blocks, dtype=np.int64), r)
 
@@ -100,19 +111,25 @@ def _shift_difference(ctx: FieldCtx, values: np.ndarray, r: int, i: int) -> np.n
     return ctx.sub(ctx.mul(wr_inv, np.concatenate((values[shift:], values[:shift]))), values)
 
 
+@lru_cache(maxsize=16)
+def _unshift_factors(ctx: FieldCtx, r: int, i: int) -> np.ndarray:
+    """1/(w_r^((j-1)i) - 1) for each exponent j < q-1, 0 where j = +-1 mod r; read-only."""
+    j = np.arange(ctx.q - 1)
+    invalid = (j % r == 1) | (j % r == r - 1)
+    minus_one = ctx.sub(ctx.units()[(j - 1) * i % r * coset_stride(ctx.q, r)], 1)
+    return frozen(np.where(invalid, 0, ctx.inv(np.where(invalid, 1, minus_one))))
+
+
 def _map_back(ctx: FieldCtx, coeffs: np.ndarray, r: int, i: int) -> np.ndarray | None:
     """Undo the differencing on coefficients, or None if the candidate is invalid.
 
-    Valid candidates vanish on exponents +-1 mod r; the remaining exponents
-    divide by w_r^((j-1)i) - 1, which is nonzero whenever r is prime.
-    """
-    j = np.flatnonzero(coeffs)
-    if np.any((j % r == 1) | (j % r == r - 1)):
+    Valid candidates vanish on exponents +-1 mod r, where the factor table
+    cached per (field, r, i) holds 0; one product applies the other factors
+    1/(w_r^((j-1)i) - 1), whose denominators are nonzero when r is prime."""
+    factors = _unshift_factors(ctx, r, i)[: len(coeffs)]
+    if coeffs[factors == 0].any():
         return None
-    wr_pow = ctx.units()[(j - 1) * i % r * coset_stride(ctx.q, r)]  # w_r^((j-1)i)
-    out = np.zeros_like(coeffs)
-    out[j] = ctx.div(coeffs[j], ctx.sub(wr_pow, 1))
-    return out
+    return ctx.mul(coeffs, factors)
 
 
 @dataclass(frozen=True)
@@ -136,16 +153,16 @@ def _certifier(q: int, ell: int, s: int, radius: int):
     return lambda diff: block_weight(diff, s) <= radius
 
 
-def _decode(code: QtbCode | FqtbCode, values: np.ndarray, list_decode, dist,
+def _decode(code: QtbCode | FqtbCode, values: np.ndarray, list_decode,
             rs_radius: int, e: int | None, certify) -> DecOutcome:
     """The pipeline both decoders share: up to r-1 list decodes plus argmin.
 
     ``values`` is a word or its (n/s, s) blocks. ``list_decode(diff)`` lists
-    the message polynomials near a differenced word of that shape, and
-    ``dist`` is the matching distance to the piecewise-linear space. A shift
-    where some candidate's differenced residual passes ``certify`` is a
-    one-entry list of that candidate's image and is not decoded (see the
-    module docstring); ``certify`` is None in the Guruswami-Sudan regime,
+    the message polynomials near a differenced word of that shape; candidates
+    rank by ``_piecewise_distance``, with no witness. A shift where some
+    candidate's differenced residual passes ``certify`` is a one-entry list
+    of that candidate's image and is not decoded (see the module docstring);
+    ``certify`` is None in the Guruswami-Sudan regime,
     where every shift is decoded. When ``e`` is given, callers promise
     dis(input, C) <= e and the output is checked against the contract
     dis(output - input, dual) <= e, raising DecodingFailed rather than ever
@@ -172,7 +189,7 @@ def _decode(code: QtbCode | FqtbCode, values: np.ndarray, list_decode, dist,
     if not candidates:
         raise DecodingFailed("empty candidate list: input violated the decode radius")
     d, _, coeffs, word = min(  # ties go to the smallest coefficient vector
-        (dist(ctx, ctx.sub(w, flat).reshape(values.shape), r)[0], key, c, w)
+        (_piecewise_distance(ctx, ctx.sub(w, flat).reshape(len(values), -1), r)[0], key, c, w)
         for key, (c, w) in candidates.items())
     if e is not None and d > e:
         raise DecodingFailed(f"best candidate at piecewise distance {d} > promised e={e}")
@@ -213,7 +230,7 @@ def dec_c(code: QtbCode, values: np.ndarray, e: int | None = None) -> DecOutcome
     rs_rad = best_feasible_radius_rs(code.q, ell, DEC_MULTIPLICITY_CAP)
     return _decode(code, values,
                    lambda diff: list_decode_rs(ctx, ell, diff, rs_rad, m_cap=DEC_MULTIPLICITY_CAP),
-                   dist_to_piecewise, rs_rad, e, _certifier(code.q, ell, 1, rs_rad))
+                   rs_rad, e, _certifier(code.q, ell, 1, rs_rad))
 
 
 @lru_cache(maxsize=None)
@@ -232,7 +249,7 @@ def dec_c_folded(code: FqtbCode, blocks: np.ndarray, e: int | None = None) -> De
     ctx, ell, s = code.ctx, code.ell, code.s
     radius = frs_achieved_radius(code.q, ell, s).e
     return _decode(code, blocks, lambda diff: list_decode_frs(ctx, ell, s, diff, radius),
-                   dist_to_piecewise_folded, radius, e, _certifier(code.q, ell, s, radius))
+                   radius, e, _certifier(code.q, ell, s, radius))
 
 
 # -- quantum wrapper ----------------------------------------------------------------

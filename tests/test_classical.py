@@ -235,6 +235,57 @@ def test_min_weight_excluding_keeps_the_disjoint_sets_for_a_subcode_without_the_
             assert d == d_ref and np.array_equal(wit, wit_ref)
 
 
+@pytest.fixture
+def pools(monkeypatch):
+    """The number of words each ``_lowest_index_word`` call is given."""
+    seen, lowest = [], classical._lowest_index_word
+
+    def record(code, subcode, words):
+        seen.append(len(words))
+        return lowest(code, subcode, words)
+
+    monkeypatch.setattr(classical, "_lowest_index_word", record)
+    return seen
+
+
+def test_min_weight_excluding_bounds_its_pool_when_every_word_is_one_block(pools):
+    # at fold_s = n every nonzero word of RS(12, 6) over GF(13) has weight 1 and
+    # no stop fires before the last level: the unbounded pool held 402,234 words
+    chunk = classical._CHUNK_CELLS // 12
+    d, wit = min_weight(rs_code(field_new(13), 6), fold_s=12)
+    assert d == 1 and wit.tolist() == [1] * 12  # as before the bound
+    assert len(pools) > 1 and max(pools) <= 2 * chunk
+
+
+@pytest.mark.parametrize("q", [7, 8, 9, 13])
+def test_min_weight_excluding_with_a_small_pool_keeps_its_witness(q, pools, monkeypatch):
+    # a chunk of one row makes the bound fire on the shift path (evaluation
+    # codes) and the disjoint-set path (a random code); the witness cannot
+    # move. On (1, 4, 5) over (1, 5) in GF(9) and (0, 2, 3, 4) over (2, 3, 4)
+    # in GF(13) it moves if the pool is cut before its shifts are added.
+    monkeypatch.setattr(classical, "_CHUNK_CELLS", q - 1)
+    ctx = field_from_order(q)
+    rng = np.random.default_rng(q)
+    zero = LinearCode(ctx, np.zeros((0, q - 1), dtype=np.int64))
+    cases = [(rs_code(ctx, ell), sub) for ell in (2, 4) for sub in (zero, rs_code(ctx, 1))]
+    cases += [(eval_code(ctx, (1, 4, 5)), eval_code(ctx, (1, 5))),
+              (eval_code(ctx, (0, 2, 3, 4)), eval_code(ctx, (2, 3, 4)))]
+    code = LinearCode(ctx, _random_rows(ctx, rng, 3, q - 1))
+    cases.append((code, LinearCode(ctx, matmul(ctx, _random_rows(ctx, rng, 1, 3), code.basis))))
+    fired = False
+    for code, sub in cases:
+        for fold_s in (None, 2, 3):
+            if fold_s is not None and (q - 1) % fold_s:
+                continue
+            pools.clear()
+            d, wit = min_weight_excluding(code, sub, fold_s=fold_s)
+            d_ref, wit_ref = _lowest_min_weight_word(code, sub, fold_s)
+            assert d == d_ref and np.array_equal(wit, wit_ref)
+            assert max(pools) <= 2 * ((q - 1) // (fold_s or 1))
+            fired |= len(pools) > 1
+    assert fired
+
+
 @pytest.mark.parametrize("q", [7, 8, 9, 13])
 def test_min_weight_excluding_finds_words_only_under_the_last_quotient_row(q):
     # words without the last quotient row are a + b*x_i on six distinct x_i,

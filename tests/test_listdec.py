@@ -12,7 +12,7 @@ from qlrc.ensembles import rs_decode_errors_erasures
 from qlrc.errors import CapExceeded, DecodingFailed, RadiusTooLarge
 from qlrc.gf import field_from_order, field_new
 from qlrc.listdec import (
-    _scalar_ops,
+    _ext_ops,
     best_feasible_radius_rs,
     brute_list_decode,
     frs_achieved_radius,
@@ -191,6 +191,26 @@ def corrupt_blocks(ctx, blocks, support, rng):
     return out
 
 
+@pytest.mark.parametrize("q,ell,s", [(13, 2, 2), (13, 3, 3), (16, 3, 3), (127, 80, 2)])
+def test_unique_branches_drop_a_decodable_word_past_the_radius(q, ell, s):
+    # below the unique radius t the syndrome decoder still finds a codeword
+    # e + 1 symbols (or blocks) away; the list decoders count its distance
+    # from the decoder's error positions and drop it
+    ctx = field_from_order(q)
+    n, rng = q - 1, np.random.default_rng(q + ell)
+    t = (n - ell) // 2
+    for e in range(t):
+        coeffs, bad, _ = planted(ctx, ell, e + 1, 0, rng)
+        assert list_decode_rs(ctx, ell, bad, e) == []
+        assert [f.tolist() for f in list_decode_rs(ctx, ell, bad, e + 1)] == [coeffs.tolist()]
+    for e in range(min(frs_achieved_radius(q, ell, s).e, t // s)):
+        blocks = evaluate_values(ctx, coeffs).reshape(-1, s)
+        bad = corrupt_blocks(ctx, blocks, rng.choice(n // s, size=e + 1, replace=False), rng)
+        assert s * (e + 1) <= t and list_decode_frs(ctx, ell, s, bad, e) == []
+        if e + 1 <= frs_achieved_radius(q, ell, s).e:
+            assert [f.tolist() for f in list_decode_frs(ctx, ell, s, bad, e + 1)] == [coeffs.tolist()]
+
+
 def test_frs_within_unique_radius_skips_interpolation(monkeypatch):
     params = frs_achieved_radius(13, 3, 2)
     assert (params.v, params.e) == (1, 2) and 2 * params.e <= (12 - 3) // 2
@@ -205,7 +225,7 @@ def test_frs_within_unique_radius_skips_interpolation(monkeypatch):
 def test_frs_beyond_unique_radius_interpolates(monkeypatch):
     params = frs_achieved_radius(13, 2, 2)
     assert (params.v, params.e) == (2, 3) and 2 * params.e > (12 - 2) // 2
-    monkeypatch.setattr(listdec, "rs_unique_decode", _must_not_run)
+    monkeypatch.setattr(listdec, "_syndrome_decode", _must_not_run)
     rng = np.random.default_rng(21)
     coeffs = rng.integers(0, 13, size=2)
     blocks = corrupt_blocks(F13, evaluate_values(F13, coeffs).reshape(6, 2), (0, 2, 5), rng)
@@ -319,12 +339,12 @@ def test_errors_and_erasures_past_radius_fails_or_is_exact(ctx, ell):
 @pytest.mark.parametrize("p,m", [(5, 2), (2, 3), (3, 3)])
 def test_extension_scalar_ops_match_field_exhaustively(p, m):
     ctx = field_new(p, m)
-    ops = _scalar_ops(ctx)
+    ops = _ext_ops(ctx)
     elems = np.arange(ctx.q, dtype=np.int64)
     for a in range(ctx.q):
         assert [ops.add(a, b) for b in range(ctx.q)] == ctx.add(a, elems).tolist()
         assert [ops.mul(a, b) for b in range(ctx.q)] == ctx.mul(a, elems).tolist()
-        acc = ops.sub_scaled(elems.tolist(), a, elems.tolist(), 0)  # acc[b] = b - a*b
+        acc = ops.sub_scaled(elems.tolist(), a, elems.tolist())  # acc[b] = b - a*b
         assert acc == ctx.sub(elems, ctx.mul(a, elems)).tolist()
         prods = ctx.mul(a, elems)
         assert [ops.dot([a, 1], [b, c]) for b, c in zip(elems.tolist(), prods.tolist())] == \

@@ -9,6 +9,7 @@ import pytest
 from qlrc import qtbdec
 from qlrc.classical import eval_code, iter_codeword_chunks
 from qlrc.css import PauliError, is_logical_identity, random_pauli
+from qlrc.ensembles import random_block_pauli
 from qlrc.errors import DecodeContractViolation, DecodingFailed, ValidationError
 from qlrc.gf import field_from_order, field_new, root_of_unity
 from qlrc.listdec import best_feasible_radius_rs
@@ -17,6 +18,7 @@ from qlrc.qtb import fqtb_new, qtb_new
 from qlrc.qtbdec import (
     DecOutcome,
     _map_back,
+    _piecewise_distance,
     _shift_difference,
     dec_c,
     dec_c_folded,
@@ -206,6 +208,45 @@ def test_dec_c_folded_exact_and_planted():
         assert code.base.css.dual_x_space.contains(resid)
 
 
+@pytest.mark.parametrize("q,r,s", [(13, 3, 1), (13, 3, 2), (19, 3, 3), (16, 3, 1),
+                                   (16, 5, 3), (25, 3, 2), (31, 5, 3)])
+def test_distance_only_fit_matches_the_public_distances(q, r, s):
+    # words at every distance from the piecewise-linear space, read through
+    # _decode's distance-only fit and through the public fits with witness
+    ctx = field_from_order(q)
+    rng = np.random.default_rng(q * r + s)
+    piecewise = eval_code(ctx, support_piecewise(q, r))
+    for _ in range(30):
+        word = piecewise.random_codeword(rng)
+        hit = rng.random(q - 1) < rng.random()
+        word[hit] = rng.integers(0, q, size=int(hit.sum()))
+        d = _piecewise_distance(ctx, word.reshape(-1, s), r)[0]
+        assert d == dist_to_piecewise_folded(ctx, word.reshape(-1, s), r)[0]
+        if s == 1:
+            assert d == dist_to_piecewise(ctx, word, r)[0]
+
+
+@pytest.mark.parametrize("q,r", [(13, 3), (16, 3), (11, 5), (16, 5), (29, 7), (8, 7)])
+def test_map_back_table_matches_the_per_coefficient_formula(q, r):
+    # coefficient j maps to g_j / (w_r^((j-1)i) - 1); a candidate nonzero on
+    # any exponent j = +-1 mod r is invalid, whatever the rest of it holds
+    ctx = field_from_order(q)
+    wr = root_of_unity(ctx, r)
+    rng = np.random.default_rng(q * r)
+    for ell in sorted({min(r + 2, q - 1), q - 2}):
+        invalid = [j for j in range(ell) if j % r in (1, r - 1)]
+        for i in range(1, r):
+            for _ in range(4):
+                g = rng.integers(0, q, size=ell)
+                g[invalid] = 0
+                want = [int(ctx.div(int(g[j]), ctx.sub(ctx.pow(wr, (j - 1) * i % r), 1)))
+                        if g[j] else 0 for j in range(ell)]
+                got = _map_back(ctx, g, r, i)
+                assert got.dtype == np.int64 and got.tolist() == want
+                g[rng.choice(invalid)] = rng.integers(1, q)
+                assert _map_back(ctx, g, r, i) is None
+
+
 @pytest.mark.parametrize("q,r", [(13, 3), (16, 5), (31, 5)])
 def test_map_back_inverts_the_differencing(q, r):
     # coefficient j of the i-th differenced word is a_j (w_r^((j-1)i) - 1), a
@@ -323,14 +364,35 @@ def test_quantum_decode_runs_one_rs_decode_per_side(monkeypatch):
     from qlrc import listdec
 
     calls = []
-    real = listdec.rs_unique_decode
-    monkeypatch.setattr(listdec, "rs_unique_decode",
+    real = listdec._syndrome_decode
+    monkeypatch.setattr(listdec, "_syndrome_decode",
                         lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
     code = qtb_new(127, 3, 80)
     err = random_pauli(code.ctx, 126, 10, "mixed", np.random.default_rng(8))
     _, resid = quantum_decode(code, err)
     assert is_logical_identity(code.css, resid)
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("folded", [False, True])
+def test_quantum_decode_evaluates_one_candidate_per_side(monkeypatch, folded):
+    # the unique list decoders count their own errors, so within the radius
+    # each side evaluates only the candidate its one decoded shift maps back to
+    from qlrc import listdec, polycode
+
+    calls, real = [], polycode.evaluate_values
+    for module in (polycode, listdec, qtbdec):
+        monkeypatch.setattr(module, "evaluate_values",
+                            lambda *args: calls.append(1) or real(*args))
+    code = fqtb_new(127, 3, 64, 2) if folded else qtb_new(127, 3, 80)
+    css, rng = (code.base.css if folded else code.css), np.random.default_rng(9)
+    for _ in range(3):
+        err = (random_block_pauli(code.ctx, 63, 2, 4, rng) if folded
+               else random_pauli(code.ctx, 126, 10, "mixed", rng))
+        calls.clear()
+        _, resid = quantum_decode(code, err)
+        assert is_logical_identity(css, resid)
+        assert len(calls) == 2
 
 
 @pytest.mark.parametrize("folded", [False, True])

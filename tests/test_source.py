@@ -117,6 +117,8 @@ TEST_FACING = (
     "mod_reduce",  # reduction modulo X^r - c, the paper's per-coset local polynomial
     "qtb_dim_window",  # the paper's dimension window around (2*ell-q)(1-2/r)
     "fqtb_recover_block",  # folded local recovery from the sibling blocks
+    "dist_to_piecewise",  # distance to the piecewise-linear space with its witness;
+    "dist_to_piecewise_folded",  # the decoders rank candidates by the distance alone
 )
 
 
