@@ -256,7 +256,7 @@ def min_weight_excluding(code: LinearCode, subcode: LinearCode,
             w = nonzero.sum(axis=0, dtype=count)
             keep = w <= best
             if subcode.dim and keep.any():
-                keep[keep] = subcode.row_space.reduce(words.T[keep]).any(axis=1)
+                keep[keep] = subcode.row_space.residue(words.T[keep]).any(axis=1)
             if keep.any():
                 low = int(w[keep].min())
                 if low < best:

@@ -141,6 +141,28 @@ def cmd_distance(args) -> int:
 
 # -- simulate -----------------------------------------------------------------------
 
+def _global_decode(args, css, radius, run):
+    """The weight to simulate (``--weight``, else the radius), and whether
+    ``run``, a global decode, leaves a logical identity. Within the radius
+    ``run`` checks its own residual and any QlrcError propagates (exit 4);
+    past it, with ``--allow-overload``, a failure counts as one."""
+    weight = args.weight if args.weight is not None else radius
+    if weight > radius and not args.allow_overload:
+        raise ValidationError(
+            f"weight {weight} exceeds decode radius {radius}; pass --allow-overload")
+    within = weight <= radius
+
+    def decode(err):
+        try:
+            _, resid = run(err)
+        except QlrcError:
+            if within:
+                raise
+            return False
+        return within or is_logical_identity(css, resid)
+    return weight, decode
+
+
 def _simulate_code(built, args):
     """Run the trials; ``sample`` draws from the trial's stream and only
     ``decode`` is timed."""
@@ -169,48 +191,24 @@ def _simulate_code(built, args):
         elif fam == "random_qlrc":
             raise ValidationError("random qLRCs have no global decoder; models: local, erasure")
         else:
-            radius = quantum_decode_radius(obj)
-            weight = args.weight if args.weight is not None else radius
-            if weight > radius and not args.allow_overload:
-                raise ValidationError(
-                    f"weight {weight} exceeds decode radius {radius}; pass --allow-overload")
+            weight, decode = _global_decode(args, css, quantum_decode_radius(obj),
+                                            lambda err: quantum_decode(obj, err))
 
             def sample(rng):
                 if fam == "fqtb":
                     return _block_error(css.ctx, n, obj.s, weight, model, rng)
                 return random_pauli(css.ctx, n, weight, model, rng)
-
-            def decode(err):
-                try:
-                    _, resid = quantum_decode(obj, err)
-                    return is_logical_identity(css, resid)
-                except QlrcError:
-                    if not args.allow_overload:
-                        raise
-                    return False
         meta = {"family": fam, "q": css.ctx.q, "r": obj.r, "ell": obj.ell,
                 "s": obj.s if fam == "fqtb" else 1, "e": weight}
     elif fam == "ael":
         if model != "mixed":
             raise ValidationError(f"AEL codes decode mixed block errors only, not model {model!r}")
         code = obj.code
-        weight = args.weight if args.weight is not None else obj.radius_blocks
-        if weight > obj.radius_blocks and not args.allow_overload:
-            raise ValidationError(
-                f"weight {weight} blocks exceeds radius {obj.radius_blocks}; pass --allow-overload")
-        within = weight <= obj.radius_blocks
+        weight, decode = _global_decode(args, code.css, obj.radius_blocks,
+                                        lambda err: ael_quantum_decode(obj, err))
 
         def sample(rng):
             return random_block_pauli(code.ctx, code.block_count, code.delta, weight, rng)
-
-        def decode(err):  # within the radius ael_quantum_decode checks its own residual
-            try:
-                _, resid = ael_quantum_decode(obj, err)
-            except QlrcError:
-                if within:
-                    raise
-                return False
-            return within or is_logical_identity(code.css, resid)
         meta = {"family": fam, "q": code.ctx.q, "r": code.locality,
                 "ell": code.outer.cz.dim, "s": code.delta, "e": weight}
     else:

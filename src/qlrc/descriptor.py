@@ -48,13 +48,9 @@ def _construct(desc: dict) -> Built:
     if family == "ael":
         from .ensembles import ael_standard_build
 
+        keys = ("q_in", "n_in", "r_in", "ell_in", "ell_out", "delta")  # a missing key: the default
         std = ael_standard_build(int(desc.get("seed", 0)),
-                                 q_in=int(desc.get("q_in", 5)),
-                                 n_in=int(desc.get("n_in", 24)),
-                                 r_in=int(desc.get("r_in", 3)),
-                                 ell_in=int(desc.get("ell_in", 3)),
-                                 ell_out=int(desc.get("ell_out", 13)),
-                                 delta=int(desc.get("delta", 24)))
+                                 **{k: int(desc[k]) for k in keys if k in desc})
         return Built(family, std, std.descriptor())
     q = desc.get("q")
     if q is None:

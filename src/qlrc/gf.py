@@ -26,6 +26,10 @@ g(C)^((q-1)/l) != I for every prime l dividing q-1. The exp table is the
 orbit of the digit vector of 1 under omega(C), built in blocks of about
 sqrt(q) rows, so no (q x m) digit matrix is ever held.
 
+``field_new`` returns one ``FieldCtx`` per field however it is spelled
+(``field_new(5)``, ``field_new(5, 1)``, ``field_from_order(5)``), so fields
+compare and hash by identity: a cache keyed by a field hashes no descriptor.
+
 Each ``FieldCtx`` operation has one path: elementwise over numpy integer
 arrays, with a Python int or numpy scalar taken as a 0-d array (a 0-d
 result comes back as a hashable numpy scalar). There is no scalar branch;
@@ -63,10 +67,11 @@ fancy indexing and ``matmul``; none of them loops over field elements.
 that keeps one elimination (``classical.LinearCode``) gets its dual from it.
 
 A ``RowSpace`` basis is the identity on its pivot columns, so ``apply``
-(basis @ v = v[pivots] + block @ v[free]), ``reduce`` and ``contains`` (the
-residue, v[free] - v[pivots] @ block and 0 at the pivots) read only ``block``,
-the basis on the free columns (found by ``np.delete``, not ``np.setdiff1d``,
-which imports ``numpy.ma``), built at its first read.
+(basis @ v = v[pivots] + block @ v[free]), ``residue`` (v[free] - v[pivots]
+@ block, the residue on the free columns; it is 0 at the pivots) and
+``contains`` read only ``block``, the basis on the free columns (found by
+``np.delete``, not ``np.setdiff1d``, which imports ``numpy.ma``), built at
+its first read.
 """
 
 from __future__ import annotations
@@ -106,7 +111,7 @@ class FieldCtx:
     """A finite field GF(p^m) with its canonical generator.
 
     Immutable after construction; safe to share freely. Use
-    :func:`field_new` rather than instantiating directly.
+    :func:`field_new`, never the constructor: fields compare by identity.
     """
 
     p: int
@@ -206,23 +211,21 @@ class FieldCtx:
     def descriptor(self) -> dict:
         return {"p": self.p, "m": self.m, "modulus": list(self.modulus), "omega": self.omega}
 
-    def __eq__(self, other):
-        return isinstance(other, FieldCtx) and self.descriptor() == other.descriptor()
-
-    def __hash__(self):
-        return hash((self.p, self.m, self.modulus, self.omega))
-
     def __repr__(self):
         return f"GF({self.q})" if self.m == 1 else f"GF({self.p}^{self.m})"
 
 
-@lru_cache(maxsize=None)
 def field_new(p: int, m: int = 1) -> FieldCtx:
-    """Construct GF(p^m) with canonical modulus and generator.
+    """GF(p^m) with canonical modulus and generator, one instance per field.
 
     Raises NonPrimeCharacteristic, Overflow (q >= 2**32, or an extension
     field too large for its exp/log tables).
     """
+    return _field(p, m)
+
+
+@lru_cache(maxsize=None)
+def _field(p: int, m: int) -> FieldCtx:
     if not _is_prime(p):
         raise NonPrimeCharacteristic(f"p={p} is not prime")
     if m < 1:
@@ -527,18 +530,13 @@ class RowSpace:
         at_free = matmul(self.ctx, self.block, v.take(self.free, axis=-1).T).T
         return self.ctx.add(v.take(self.pivots, axis=-1), at_free)
 
-    def _residue(self, v: np.ndarray) -> np.ndarray:
+    def residue(self, v: np.ndarray) -> np.ndarray:
+        """Residue of v (of each row of a stack) modulo the row space on the
+        ``free`` columns, zero iff member (it is zero at the pivots)."""
         v = np.asarray(v, dtype=np.int64)
         at_pivots = matmul(self.ctx, v.take(self.pivots, axis=-1), self.block)
         return self.ctx.sub(v.take(self.free, axis=-1), at_pivots)
 
-    def reduce(self, v: np.ndarray) -> np.ndarray:
-        """Residue of v (of each row of a stack) modulo the row space, zero iff
-        member: v's entry at pivot i is the coefficient of basis row i."""
-        out = np.zeros(np.shape(v), dtype=np.int64)
-        out[..., self.free] = self._residue(v)
-        return out
-
     def contains(self, v: np.ndarray) -> bool:
         """Whether v, or every row of a stack, lies in the row space."""
-        return not np.any(self._residue(v))
+        return not np.any(self.residue(v))

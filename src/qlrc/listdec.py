@@ -6,9 +6,10 @@ it is returned, so the output is exact, never a superset):
 
 * the syndrome decoder, with erasures, for radii up to the unique-decoding
   bound. Berlekamp-Massey on the power sums of the error (J. Massey, 1969)
-  is its one scalar loop, on Python ints; the Chien search, Omega (against
-  the syndromes' Toeplitz matrix) and the interpolant of Forney's error
-  values (G. D. Forney, 1965) are products, and Psi' and the values array
+  is its one loop, with GF(p) arithmetic inline on Python ints and GF(p^m)
+  arithmetic through ``FieldCtx``; the Chien search, Omega (against the
+  syndromes' Toeplitz matrix) and the interpolant of Forney's error values
+  (G. D. Forney, 1965) are products, and Psi' and the values array
   operations. At those radii Hamming balls are disjoint, so its one
   candidate is the whole list, and its error positions are its distance.
 * Guruswami-Sudan bivariate interpolation with multiplicities, up to the
@@ -39,7 +40,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 import numpy as np
 
@@ -136,42 +137,6 @@ def list_decode_rs(ctx: FieldCtx, ell: int, received: np.ndarray, e: int,
     return out
 
 
-class _ExtOps:
-    """Scalar arithmetic of GF(p^m) on Python ints: exp/log tables for
-    products, a Zech-log table (log of 1 + omega^i) for sums."""
-
-    def __init__(self, ctx: FieldCtx):
-        self.n = ctx.q - 1
-        self.exp = ctx._exp.tolist()  # length 2n, so log sums need no reduction
-        self.log = ctx._log.tolist()
-        self.zech = [self.log[v] if v else -1 for v in ctx.add(1, ctx.units()).tolist()]
-        self.minus_one = int(ctx.neg(1))
-
-    def add(self, a: int, b: int) -> int:
-        if not a or not b:
-            return a or b
-        la = self.log[a]
-        z = self.zech[self.log[b] - la]  # a negative index wraps mod n
-        return 0 if z < 0 else self.exp[la + z]
-
-    def mul(self, a: int, b: int) -> int:
-        return self.exp[self.log[a] + self.log[b]] if a and b else 0
-
-    def inv(self, a: int) -> int:
-        return self.exp[self.n - self.log[a]]
-
-    def dot(self, a: list[int], b: list[int]) -> int:
-        return reduce(self.add, map(self.mul, a, b), 0)
-
-    def sub_scaled(self, a: list[int], c: int, b: list[int]) -> list[int]:
-        """a - c * b, cut to the shorter of the two."""
-        c = self.mul(c, self.minus_one)
-        return [self.add(x, self.mul(c, y)) for x, y in zip(a, b)]
-
-
-_ext_ops = lru_cache(maxsize=8)(_ExtOps)  # one set of tables per field
-
-
 @lru_cache(maxsize=4)
 def _idft_matrix(ctx: FieldCtx) -> np.ndarray:
     """Interpolation over the positions omega^i: coefficient j of the
@@ -186,9 +151,11 @@ def _berlekamp_massey(ctx: FieldCtx, syn: list[int], gamma: list[int],
     Massey's shift-register synthesis started from the erasure locator Gamma
     of degree rho: the discrepancy at step k is coefficient rho + k of
     Psi * S, so this is the run on the Forney syndromes Gamma * S. GF(p)
-    arithmetic is inline on Python ints; GF(p^m) goes through ``_ExtOps``.
+    arithmetic is inline on Python ints, the hot path of prime-field decoding;
+    over GF(p^m) the discrepancy is a ``matmul``, the update ``mul`` and
+    ``sub``, and the new scale an ``inv``.
     """
-    ext, p = (_ext_ops(ctx) if ctx.m > 1 else None), ctx.p
+    ext, p = ctx.m > 1, ctx.p
     rho = len(gamma) - 1
     psi = gamma + [0] * (2 * t)  # deg Psi <= rho + deg Lambda <= rho + 2t
     prev, errs, shift, scale = gamma, 0, 0, 1  # prev is cut to its degree bound
@@ -196,14 +163,14 @@ def _berlekamp_massey(ctx: FieldCtx, syn: list[int], gamma: list[int],
     for k in range(2 * t):
         shift += 1
         s = rsyn[top - k: top - k + rho + errs + 1]  # d = sum_j Psi_j S_(rho + k - j)
-        d = ext.dot(psi, s) if ext else sum(map(operator.mul, psi, s)) % p
+        d = matmul(ctx, psi[:len(s)], s) if ext else sum(map(operator.mul, psi, s)) % p
         if d:  # Psi -= d * scale * z^shift * prev
-            lo, hi, c = shift, shift + len(prev), (ext.mul(d, scale) if ext else d * scale % p)
-            new = (ext.sub_scaled(psi[lo:hi], c, prev) if ext
+            lo, hi, c = shift, shift + len(prev), (ctx.mul(d, scale) if ext else d * scale % p)
+            new = (ctx.sub(np.array(psi[lo:hi]), ctx.mul(c, prev[:len(psi) - lo])).tolist() if ext
                    else [(x - c * y) % p for x, y in zip(psi[lo:hi], prev)])
             if 2 * errs <= k:
                 prev, errs, shift = psi[: rho + errs + 1], k + 1 - errs, 0
-                scale = ext.inv(d) if ext else pow(d, -1, p)
+                scale = ctx.inv(d) if ext else pow(d, -1, p)
             psi[lo:hi] = new
     return psi[: rho + errs + 1], errs
 

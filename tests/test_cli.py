@@ -268,11 +268,25 @@ def test_simulate_allow_overload_counts_a_wrong_residual_within_the_radius_as_fa
         return SimpleNamespace(word=values)
 
     monkeypatch.setattr(qtbdec, "dec_c", leave_the_error)
-    code, out, err = run(capsys, "simulate", "--family", "qtb", "--q", "31", "--r", "3",
-                         "--ell", "21", "--weight", "1", "--allow-overload", "--trials", "3")
-    assert code == 0, err
-    d = json.loads(out)
-    assert d["e"] == 1 and d["trials"] == 3 and d["successes"] == 0
+    code, _, err = run(capsys, "simulate", "--family", "qtb", "--q", "31", "--r", "3",
+                       "--ell", "21", "--weight", "1", "--allow-overload", "--trials", "3")
+    assert code == 4, err  # within the radius --allow-overload forgives nothing
+    assert "residual" in err
+
+
+@pytest.mark.parametrize("overload", [(), ("--allow-overload",)], ids=["strict", "overload"])
+def test_simulate_decoder_failure_within_the_radius_exits_4(capsys, monkeypatch, overload):
+    from qlrc import qtbdec
+    from qlrc.errors import DecodingFailed
+
+    def fail(code, values, e=None):
+        raise DecodingFailed("injected")
+
+    monkeypatch.setattr(qtbdec, "dec_c", fail)
+    code, _, err = run(capsys, "simulate", "--family", "qtb", "--q", "31", "--r", "3",
+                       "--ell", "21", "--weight", "1", "--trials", "2", *overload)
+    assert code == 4, err
+    assert "injected" in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qlrc.bounds import singleton_quantum
-from qlrc.classical import eval_code, rs_code
+from qlrc.classical import LinearCode, eval_code, rs_code
 from qlrc.css import (
     PauliError,
     can_decode_erasures,
@@ -26,6 +26,15 @@ from qlrc.qtb import fqtb_new, qtb_new
 
 F7 = field_new(7)
 F13 = field_new(13)
+
+
+def test_css_new_rejects_codes_over_different_fields():
+    full = np.eye(4, dtype=np.int64)  # no checks, so any pair is orthogonal
+    for other in (field_new(7), field_new(5, 2)):
+        with pytest.raises(ValidationError, match="different fields"):
+            css_new(LinearCode(field_new(5), full), LinearCode(other, full))
+    code = css_new(LinearCode(field_new(5), full), LinearCode(field_new(5, 1), full))
+    assert code.ctx is field_new(5)
 
 
 def qtb_css(q, r, ell):

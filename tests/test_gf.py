@@ -22,6 +22,17 @@ from qlrc.gf import (
     rref,
     solve_right,
 )
+from qlrc.polycode import eval_table
+
+
+def test_one_instance_per_field():
+    # every spelling of a field is one object, so fields compare and hash by
+    # identity and one cache entry serves them all
+    assert field_new(5) is field_new(5, 1) is field_new(p=5, m=1) is field_from_order(5)
+    assert field_new(5, 2) is field_new(5, m=2) is field_from_order(25)
+    assert field_new(2, 3) is field_from_order(8)
+    assert field_new(5) != field_new(5, 2)
+    assert eval_table(field_new(5), 4) is eval_table(field_from_order(5), 4)
 
 
 def exhaustive_order(ctx: FieldCtx, a: int) -> int:
@@ -381,7 +392,8 @@ def test_rowspace_reduce_matches_sequential_loop(p, m):
         members = matmul(ctx, rng.integers(0, ctx.q, size=(4, rows)), basis)
         for v in list(members) + list(rng.integers(0, ctx.q, size=(4, cols))):
             residue, coeff = _reduce_oracle(ctx, space, v)
-            assert np.array_equal(space.reduce(v), residue)
+            assert np.array_equal(space.residue(v), residue[space.free])
+            assert not np.any(residue[space.pivots])
             assert space.contains(v) == (not np.any(residue))
             if not np.any(residue):  # a member's coefficients are its pivot entries
                 assert np.array_equal(v[space.pivots], coeff)
@@ -389,7 +401,7 @@ def test_rowspace_reduce_matches_sequential_loop(p, m):
 
 @pytest.mark.parametrize("p,m", [(127, 1), (5, 2)])
 def test_rowspace_products_match_the_full_width_formulas(p, m):
-    # apply, reduce and contains read only the block off the pivots; the
+    # apply, residue and contains read only the block off the pivots; the
     # full-width products they replace are the oracles
     ctx = field_new(p, m)
     rng = np.random.default_rng(11 * p + m)
@@ -402,10 +414,11 @@ def test_rowspace_products_match_the_full_width_formulas(p, m):
                            matmul(ctx, rng.integers(0, ctx.q, size=(3, rows)), basis)])
         residues = ctx.sub(stack, matmul(ctx, stack[:, space.pivots], full))
         assert np.array_equal(space.apply(stack), matmul(ctx, full, stack.T).T)
-        assert np.array_equal(space.reduce(stack), residues)
+        assert np.array_equal(space.residue(stack), residues[:, space.free])
+        assert not np.any(residues[:, space.pivots])
         for v, residue in zip(stack, residues):
             assert np.array_equal(space.apply(v), matmul(ctx, full, v))
-            assert np.array_equal(space.reduce(v), residue)
+            assert np.array_equal(space.residue(v), residue[space.free])
             assert space.contains(v) == (not np.any(residue))
         assert space.contains(stack) == (not np.any(residues))
         assert space.contains(stack[5:])  # the members only

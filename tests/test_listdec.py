@@ -12,7 +12,6 @@ from qlrc.ensembles import rs_decode_errors_erasures
 from qlrc.errors import CapExceeded, DecodingFailed, RadiusTooLarge
 from qlrc.gf import field_from_order, field_new
 from qlrc.listdec import (
-    _ext_ops,
     best_feasible_radius_rs,
     brute_list_decode,
     frs_achieved_radius,
@@ -336,23 +335,6 @@ def test_errors_and_erasures_past_radius_fails_or_is_exact(ctx, ell):
     assert outcomes == {"failed", "decoded"}
 
 
-@pytest.mark.parametrize("p,m", [(5, 2), (2, 3), (3, 3)])
-def test_extension_scalar_ops_match_field_exhaustively(p, m):
-    ctx = field_new(p, m)
-    ops = _ext_ops(ctx)
-    elems = np.arange(ctx.q, dtype=np.int64)
-    for a in range(ctx.q):
-        assert [ops.add(a, b) for b in range(ctx.q)] == ctx.add(a, elems).tolist()
-        assert [ops.mul(a, b) for b in range(ctx.q)] == ctx.mul(a, elems).tolist()
-        acc = ops.sub_scaled(elems.tolist(), a, elems.tolist())  # acc[b] = b - a*b
-        assert acc == ctx.sub(elems, ctx.mul(a, elems)).tolist()
-        prods = ctx.mul(a, elems)
-        assert [ops.dot([a, 1], [b, c]) for b, c in zip(elems.tolist(), prods.tolist())] == \
-            ctx.add(prods, prods).tolist()  # a*b + a*b
-        if a:
-            assert ops.inv(a) == ctx.inv(a)
-
-
 def unique_oracle(ctx, ell, word, erased=None):
     """The codeword within (N - ell)//2 errors on the N unerased positions, by
     enumerating RS(q, ell); None when there is none."""
@@ -392,6 +374,23 @@ def test_unique_decoder_errors_only_matches_oracle(q, ells):
                 outcomes.add(assert_unique_matches_oracle(ctx, ell, word) is None)
         for _ in range(10):
             assert_unique_matches_oracle(ctx, ell, rng.integers(0, q, size=n))
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("q,ells", [(8, (1, 2, 3)), (27, (1, 2))])
+def test_unique_decoder_with_erasures_matches_oracle_over_extension_fields(q, ells):
+    # characteristic 2 (GF(8)) and degree 3 (GF(8), GF(27)): the extension-field
+    # Berlekamp-Massey run from the erasure locator, up to and past the radius
+    ctx = field_from_order(q)
+    n = q - 1
+    rng = np.random.default_rng(34)
+    outcomes = set()
+    for ell in ells:
+        for n_erase in sorted({0, 1, 2, (n - ell) // 2, n - ell - 1, n - ell}):
+            t = (n - n_erase - ell) // 2
+            for n_err in sorted({0, t, t + 1, t + 2}):
+                _, word, erased = planted(ctx, ell, min(n_err, n - n_erase), n_erase, rng)
+                outcomes.add(assert_unique_matches_oracle(ctx, ell, word, erased) is None)
     assert outcomes == {True, False}
 
 
