@@ -10,12 +10,8 @@ RS, TB and qTB codes and their duals in the omega^i order. Then C \\ D is
 a union of shift orbits, and the RREF set with its n/s shifts serves: the
 search weighs that one set and adds the shifts of the lightest words found.
 Either way it returns the minimum-weight word a scan of C in message order
-meets first, so its output does not depend on the search. The cap still
-bounds q^dim(C).
-
-``min_weight_below`` is the complementary oracle: an increasing-weight
-exhaustive scan that is exact whenever the true distance is small, at cost
-independent of the code dimension. The two are cross-checked in tests.
+meets first, so its output does not depend on the search. The cap bounds
+the number of words weighed.
 """
 
 from __future__ import annotations
@@ -193,8 +189,9 @@ def min_weight_excluding(code: LinearCode, subcode: LinearCode,
 
     Returns (inf, None) when the two codes coincide. With ``fold_s`` the
     weight counts nonzero length-``fold_s`` blocks; a ``fold_s`` that is not
-    a positive divisor of n raises FoldMismatch. The cap bounds q^dim(code);
-    a larger code raises CapExceeded.
+    a positive divisor of n raises FoldMismatch. The cap bounds the words
+    weighed: a pass that would take the count past it raises CapExceeded
+    with the count it needs.
 
     Brouwer-Zimmermann enumeration (Zimmermann 1996; Grassl 2006). Each set
     j of ``_information_sets`` has a generator whose first r_j rows are the
@@ -235,9 +232,6 @@ def min_weight_excluding(code: LinearCode, subcode: LinearCode,
     k = code.dim
     if k == subcode.dim:
         return math.inf, None
-    total = ctx.q**k
-    if total > cap:
-        raise CapExceeded(f"enumeration needs {total} > cap {cap}", required=total)
 
     orbit = (np.arange(code.n) + np.arange(0, code.n, s)[:, None]) % code.n  # row j: shift by j*s
     cyclic = code.contains(code.basis[:, orbit[-1]]) and subcode.contains(subcode.basis[:, orbit[-1]])
@@ -246,8 +240,12 @@ def min_weight_excluding(code: LinearCode, subcode: LinearCode,
     bound = sum(r == k for _, r in sets)  # level 0: a nonzero word is nonzero on each full set
     counted, per_block = (code.n, s * k) if cyclic else (1, s)  # see the docstring
     count, chunk = np.min_scalar_type(code.n), max(1, _CHUNK_CELLS // code.n)
-    best, found = math.inf, []
+    best, found, weighed = math.inf, [], 0
     for level, j in itertools.product(range(1, k + 1), range(len(sets))):
+        weighed += math.comb(k, level) * (ctx.q - 1) ** (level - 1)  # the pass's lines
+        if weighed > cap:
+            raise CapExceeded(f"the search needs {weighed} words weighed > cap {cap}",
+                              required=weighed)
         for msgs in _line_messages(ctx.q, k, level, chunk):
             words = matmul(ctx, sets[j][0], msgs)  # column i: the word of message i
             nonzero = words != 0
@@ -333,41 +331,6 @@ def min_weight(code: LinearCode, cap: int = DEFAULT_CAP,
     """Exact minimum nonzero weight (the code's distance)."""
     zero = LinearCode(code.ctx, np.zeros((0, code.n), dtype=np.int64))
     return min_weight_excluding(code, zero, cap=cap, fold_s=fold_s)
-
-
-def min_weight_below(parity: np.ndarray, ctx: FieldCtx, max_weight: int,
-                     exclude: RowSpace | None = None,
-                     cap: int = DEFAULT_CAP) -> tuple[int | None, np.ndarray | None]:
-    """Smallest-weight word of ker(parity) [outside `exclude`] by weight scan.
-
-    Scans candidate supports of weight 1, 2, ... up to ``max_weight``. Exact:
-    if it returns w, no lighter qualifying word exists; returns (None, None)
-    when every word in range is ruled out. Cost grows as C(n, w)*(q-1)^w and
-    is capped.
-    """
-    parity = np.asarray(parity, dtype=np.int64)
-    n = parity.shape[1]
-    q = ctx.q
-    nonzero = np.arange(1, q, dtype=np.int64)
-    for w in range(1, max_weight + 1):
-        n_candidates = math.comb(n, w) * (q - 1) ** w
-        if n_candidates > cap:
-            raise CapExceeded(f"weight-{w} scan needs {n_candidates} > cap {cap}",
-                              required=n_candidates)
-        # all value patterns on a w-support
-        patterns = np.stack(np.meshgrid(*([nonzero] * w), indexing="ij"), axis=-1)
-        patterns = patterns.reshape(-1, w)
-        for supp in itertools.combinations(range(n), w):
-            cols = parity[:, supp]
-            syn = matmul(ctx, patterns, cols.T)  # syndromes of every pattern on this support
-            hits = np.nonzero(~np.any(syn, axis=1))[0]
-            for h in hits.tolist():
-                word = np.zeros(n, dtype=np.int64)
-                word[list(supp)] = patterns[h]
-                if exclude is not None and exclude.contains(word):
-                    continue
-                return w, word
-    return None, None
 
 
 # -- erasure decoding ------------------------------------------------------------

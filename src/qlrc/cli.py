@@ -357,9 +357,8 @@ def main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser("distance", help="exact distance by Brouwer-Zimmermann search")
     _add_code_flags(p)
-    p.add_argument("--brute", action="store_true", help="accepted for explicitness")
     p.add_argument("--cap", type=int, default=None,
-                   help="enumeration cap (codewords); exceeding it exits 3")
+                   help="cap on the words the search weighs; exceeding it exits 3")
     p.set_defaults(func=cmd_distance)
 
     p = sub.add_parser("simulate", help="seeded Monte-Carlo decode/recovery trials")

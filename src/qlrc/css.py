@@ -218,9 +218,9 @@ def css_distance_brute(code: CssCode, cap: int = DEFAULT_CAP,
     The minimum weight over C_Z \\ C_X-dual and over C_X \\ C_Z-dual (one
     search when C_X = C_Z), each from ``classical.min_weight_excluding``,
     whose witness is the minimum-weight word of lowest message index; a tie
-    goes to Z. The cap bounds q^dim of each code. With ``fold_s`` the distance
-    counts nonzero blocks. Raises ValidationError for k = 0 and FoldMismatch
-    when ``fold_s`` is not a positive divisor of n.
+    goes to Z. The cap bounds the words each search weighs. With ``fold_s``
+    the distance counts nonzero blocks. Raises ValidationError for k = 0 and
+    FoldMismatch when ``fold_s`` is not a positive divisor of n.
     """
     if code.k == 0:
         raise ValidationError("the code encodes no qudits (k = 0), so it has no distance")

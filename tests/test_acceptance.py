@@ -32,6 +32,7 @@ from qlrc.ensembles import (
     random_qlrc,
     stream_rng,
 )
+from qlrc.errors import CapExceeded
 from qlrc.gf import field_from_order, field_new
 from qlrc.listdec import brute_list_decode, frs_achieved_radius, list_decode_frs, list_decode_rs
 from qlrc.polycode import (
@@ -71,8 +72,13 @@ def test_criterion_02_mid_code_window():
     low = bounds.qtb_distance_lower_ceil(13, 3, 8)
     high = bounds.partition_cap_distance(code.n, code.k, 3)
     assert (low, high) == (3, 4)
-    d, witness, _ = css_distance_brute(code.css)  # two information sets: 5,558 words of 13^7 weighed
+    # one information set, 7 + C(7, 2) * 12 = 259 of the 13^7 words weighed: the cap counts them
+    d, witness, _ = css_distance_brute(code.css, cap=259)
     assert low <= d <= high
+    assert d == 4
+    with pytest.raises(CapExceeded) as info:
+        css_distance_brute(code.css, cap=258)
+    assert info.value.required == 259
     assert np.count_nonzero(witness) == d
     elapsed = time.time() - started
     assert elapsed < 60

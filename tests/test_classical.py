@@ -17,7 +17,6 @@ from qlrc.classical import (
     iter_codeword_chunks,
     local_recover_symbol,
     min_weight,
-    min_weight_below,
     min_weight_excluding,
     quotient_representatives,
     rs_code,
@@ -322,8 +321,10 @@ def test_min_weight_excluding_rejects_a_fold_that_does_not_divide_n(fold_s):
 
 
 def test_min_weight_cap():
-    with pytest.raises(CapExceeded):
+    # the cap counts words weighed: 8 at level 1, then C(8, 2) * 12 at level 2
+    with pytest.raises(CapExceeded) as info:
         min_weight(rs_code(F13, 8), cap=100)
+    assert info.value.required == 8 + 28 * 12
 
 
 def test_rs_13_8_distance_is_exactly_5():
@@ -346,9 +347,12 @@ def test_rs_13_8_distance_is_exactly_5():
 
 
 def test_rs_7_4_distance_by_enumeration():
-    w, _ = min_weight(rs_code(F7, 4))
+    code = rs_code(F7, 4)
+    w, word = min_weight(code)
     assert w == 3
-    assert rs_code(F7, 4).dim == 4
+    assert code.dim == 4
+    assert code.contains(word)
+    assert np.count_nonzero(word) == 3
 
 
 def test_tb_13_3_8_dimension_and_distance():
@@ -357,14 +361,6 @@ def test_tb_13_3_8_dimension_and_distance():
     w, _ = min_weight(code)
     assert w >= 13 - 8
     assert w == 5
-
-
-def test_min_weight_below_matches_enumeration():
-    code = rs_code(F7, 4)
-    d_scan, word = min_weight_below(code.dual_basis, F7, 6)
-    d_enum, _ = min_weight(code)
-    assert d_scan == d_enum == 3
-    assert code.contains(word)
 
 
 def test_folded_rs_block_distance():

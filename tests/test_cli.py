@@ -45,9 +45,18 @@ def test_params_invalid_fold_exits_2(capsys):
 
 def test_distance_qtb734(capsys):
     code, out, _ = run(capsys, "distance", "--family", "qtb", "--q", "7",
-                       "--r", "3", "--ell", "4", "--brute")
+                       "--r", "3", "--ell", "4")
     assert code == 0
     assert json.loads(out)["distance"] == 2
+
+
+def test_ensemble_gv_searches_codes_past_the_old_dimension_cap(capsys):
+    # C_Z has dimension 14 here, and 5^14 > 2^26 (the old per-sample cap on q^dim);
+    # the cap now counts words weighed, and each sample's search weighs few
+    code, out, _ = run(capsys, "ensemble", "--kind", "gv", "--n", "24", "--r", "3",
+                       "--ell", "2", "--q", "5", "--trials", "20", "--seed", "1")
+    assert code == 0
+    assert json.loads(out)["trials"] == 20
 
 
 def test_distance_fqtb_counts_blocks(capsys):

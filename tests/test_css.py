@@ -82,7 +82,7 @@ def test_css_distance_brute_pins_the_qtb13_witnesses():
 def test_css_distance_brute_pins_the_qtb19_witnesses():
     # values from the disjoint-set search, which these shift-invariant codes no longer take
     css = qtb_new(19, 3, 10).css
-    d, wit, side = css_distance_brute(css, cap=19**10)  # the cap bounds q^dim(C_Z)
+    d, wit, side = css_distance_brute(css, cap=19**10)  # cap on words weighed; this search weighs 39,700
     assert (d, wit.tolist(), side) == (6, [0, 0, 0, 9, 16, 10, 0, 0, 0, 15, 0, 4, 0, 0, 0, 0, 2, 0], "z")
     d, wit, side = css_distance_brute(css, cap=19**10, fold_s=2)
     assert (d, wit.tolist(), side) == (4, [0, 0, 0, 0, 0, 0, 0, 0, 14, 15, 6, 5, 0, 0, 17, 6, 10, 2], "z")

@@ -112,6 +112,12 @@ def test_certified_distance_matches_brute():
             assert certified_distance_at_least(code.css, t) == (d >= t)
 
 
+def test_certified_distance_holds_for_a_code_with_no_logical_qudits():
+    code = random_qlrc(12, 3, 2, 5, 0)
+    assert code.k == 0  # both distance sets are empty, so every threshold holds
+    assert certified_distance_at_least(code.css, 5)
+
+
 def test_gv_estimate_trivial_threshold():
     est = gv_estimate(9, 3, 1, 4, delta=0.0, trials=5, seed=0)
     assert est.frequency == 1.0  # d >= 0 always
