@@ -119,9 +119,11 @@ def cmd_construct(args) -> int:
 # -- distance ----------------------------------------------------------------------
 
 def cmd_distance(args) -> int:
+    cap = DEFAULT_CAP if args.cap is None else args.cap
+    if cap < 0:
+        raise ValidationError(f"--cap must be >= 0, got {cap}")
     built = descriptor.build(_descriptor_from_args(args))
     fam, obj = built.family, built.obj
-    cap = args.cap if args.cap else DEFAULT_CAP
     if fam in ("qtb", "fqtb", "random_qlrc"):
         css, fold = (obj.base.css, obj.s) if fam == "fqtb" else (obj.css, None)
         d, witness, side = css_distance_brute(css, cap=cap, fold_s=fold)
@@ -358,7 +360,8 @@ def main(argv: list[str] | None = None) -> int:
     p = sub.add_parser("distance", help="exact distance by Brouwer-Zimmermann search")
     _add_code_flags(p)
     p.add_argument("--cap", type=int, default=None,
-                   help="cap on the words the search weighs; exceeding it exits 3")
+                   help="cap on the words the search weighs (0 is a cap, not 'no cap'); "
+                        "exceeding it exits 3")
     p.set_defaults(func=cmd_distance)
 
     p = sub.add_parser("simulate", help="seeded Monte-Carlo decode/recovery trials")

@@ -154,6 +154,17 @@ def _berlekamp_massey(ctx: FieldCtx, syn: list[int], gamma: list[int],
     arithmetic is inline on Python ints, the hot path of prime-field decoding;
     over GF(p^m) the discrepancy is a ``matmul``, the update ``mul`` and
     ``sub``, and the new scale an ``inv``.
+
+    The run stops at step k once k >= errs + t, errs = deg Lambda (Massey's
+    bound). Were that register, of length L = errs, to fail at a later
+    syndrome N >= k, every register generating the syndromes up to N would
+    have length at least N + 1 - L >= t + 1 (Massey, 1969), so the full run
+    would end with errs > t. The early stop returns a register of length
+    <= t instead; no pattern of <= t errors matches every syndrome, so the
+    Chien count, the derivative check or the final syndrome check of
+    ``_syndrome_decode`` rejects it. If the register never fails again,
+    every later discrepancy is zero and the full run changes nothing. Either
+    way ``_syndrome_decode`` returns the same answer.
     """
     ext, p = ctx.m > 1, ctx.p
     rho = len(gamma) - 1
@@ -161,6 +172,8 @@ def _berlekamp_massey(ctx: FieldCtx, syn: list[int], gamma: list[int],
     prev, errs, shift, scale = gamma, 0, 0, 1  # prev is cut to its degree bound
     rsyn, top = syn[::-1], len(syn) - 1 - rho
     for k in range(2 * t):
+        if k >= errs + t:
+            break
         shift += 1
         s = rsyn[top - k: top - k + rho + errs + 1]  # d = sum_j Psi_j S_(rho + k - j)
         d = matmul(ctx, psi[:len(s)], s) if ext else sum(map(operator.mul, psi, s)) % p

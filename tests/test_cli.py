@@ -81,6 +81,15 @@ def test_distance_cap_exit_3(capsys):
     assert "cap" in err
 
 
+def test_distance_cap_zero_is_a_cap_and_a_negative_cap_exits_2(capsys):
+    # qTB(13,3,8)'s first pass weighs 7 words, so a cap of 0 words is exceeded
+    qtb = ("distance", "--family", "qtb", "--q", "13", "--r", "3", "--ell", "8")
+    code, out, err = run(capsys, *qtb, "--cap", "0")
+    assert (code, out) == (3, "") and "cap" in err
+    code, out, err = run(capsys, *qtb, "--cap", "-1")
+    assert (code, out) == (2, "") and "--cap" in err
+
+
 def test_distance_of_a_code_without_qudits_exits_2(capsys):
     code, out, err = run(capsys, "distance", "--family", "random_qlrc", "--n", "12",
                          "--r", "3", "--ell", "2", "--q", "5", "--seed", "3")

@@ -359,6 +359,63 @@ def test_rref_matches_scalar_oracle_when_headroom_runs_out():
         assert pivots == want_pivots and np.array_equal(r, want)
 
 
+def _assert_row_order_free(ctx, mat, rng, shuffles):
+    """rref of mat with its rows reversed and shuffled equals rref of mat."""
+    want, want_pivots = rref(ctx, mat)
+    orders = [np.arange(len(mat))[::-1]] + [rng.permutation(len(mat)) for _ in range(shuffles)]
+    for order in orders:
+        r, pivots = rref(ctx, np.asarray(mat)[order])
+        assert pivots == want_pivots and np.array_equal(r, want), np.shape(mat)
+
+
+@pytest.mark.parametrize("p,m", RREF_FIELDS)
+def test_rref_is_independent_of_row_order(p, m):
+    # rref eliminates the sparsest rows first; an RREF is unique, so no row
+    # order may change (R, pivots)
+    ctx = field_new(p, m)
+    rng = np.random.default_rng(20 * p + m)
+    for mat in _rref_shapes(ctx, rng):
+        _assert_row_order_free(ctx, mat, rng, shuffles=4)
+
+
+def test_rref_of_the_ael_generators_is_independent_of_row_order():
+    from qlrc.ensembles import ael_standard_build
+
+    css = ael_standard_build(seed=90).code.css
+    rng = np.random.default_rng(21)
+    for basis in (css.cz.basis, css.cx.basis):
+        assert basis.shape == (290, 576)
+        _assert_row_order_free(field_new(5), basis, rng, shuffles=1)
+
+
+@pytest.mark.parametrize("p,m", [(5, 1), (127, 1), (5, 2)])
+def test_rref_sparse_blocks_under_dense_rows_match_scalar_oracle(p, m):
+    # the shape of the AEL generators: three dense rows above block-diagonal
+    # sparse rows, which the sparsest-first order eliminates before them
+    ctx = field_new(p, m)
+    rng = np.random.default_rng(30 * p + m)
+    sparse = np.zeros((12, 24), dtype=np.int64)
+    for b in range(4):
+        block = rng.integers(0, ctx.q, size=(3, 6))
+        block[rng.random(block.shape) < 0.5] = 0
+        sparse[3 * b: 3 * b + 3, 6 * b: 6 * b + 6] = block
+    for mat in (np.vstack([rng.integers(1, ctx.q, size=(3, 24)), sparse]),
+                np.vstack([rng.integers(1, ctx.q, size=(2, 24)), sparse[:6],
+                           rng.integers(1, ctx.q, size=(1, 24)), sparse[6:]])):
+        r, pivots = rref(ctx, mat)
+        want, want_pivots = _rref_oracle(ctx, mat)
+        assert pivots == want_pivots and np.array_equal(r, want)
+
+
+def test_rref_zero_rows_sort_first_and_still_come_out_last():
+    ctx = field_new(7)
+    mat = np.array([[3, 1, 4, 1], [0, 0, 0, 0], [5, 0, 2, 6], [0, 0, 0, 0], [1, 1, 1, 1]])
+    r, pivots = rref(ctx, mat)
+    want, want_pivots = _rref_oracle(ctx, mat)
+    assert pivots == want_pivots and np.array_equal(r, want)
+    assert len(pivots) == 3 and not r[3:].any()
+
+
 def test_rowspace_membership_and_reduce():
     ctx = field_new(13)
     basis = np.array([[1, 2, 3, 4], [0, 1, 1, 1]])

@@ -1,6 +1,8 @@
 """List decoders against the exhaustive oracle."""
 
+import functools
 import hashlib
+import operator
 from itertools import combinations
 
 import numpy as np
@@ -10,7 +12,7 @@ from qlrc import listdec
 from qlrc.classical import frs_code, iter_codeword_chunks, rs_code
 from qlrc.ensembles import rs_decode_errors_erasures
 from qlrc.errors import CapExceeded, DecodingFailed, RadiusTooLarge
-from qlrc.gf import field_from_order, field_new
+from qlrc.gf import field_from_order, field_new, matmul
 from qlrc.listdec import (
     best_feasible_radius_rs,
     brute_list_decode,
@@ -335,16 +337,22 @@ def test_errors_and_erasures_past_radius_fails_or_is_exact(ctx, ell):
     assert outcomes == {"failed", "decoded"}
 
 
+@functools.lru_cache(maxsize=4)
+def rs_codewords(ctx, ell):
+    """Every codeword of RS(q, ell), read-only: the oracle's enumeration."""
+    words = np.vstack(list(iter_codeword_chunks(ctx, rs_code(ctx, ell).basis)))
+    words.flags.writeable = False
+    return words
+
+
 def unique_oracle(ctx, ell, word, erased=None):
     """The codeword within (N - ell)//2 errors on the N unerased positions, by
     enumerating RS(q, ell); None when there is none."""
     keep = np.ones(ctx.q - 1, dtype=bool) if erased is None else ~erased
     t = (int(keep.sum()) - ell) // 2
-    for words in iter_codeword_chunks(ctx, rs_code(ctx, ell).basis):
-        hit = np.flatnonzero(np.count_nonzero((words != word) & keep, axis=1) <= t)
-        if hit.size:
-            return words[hit[0]]
-    return None
+    words = rs_codewords(ctx, ell)
+    hit = np.flatnonzero(np.count_nonzero((words != word) & keep, axis=1) <= t)
+    return words[hit[0]] if hit.size else None
 
 
 def assert_unique_matches_oracle(ctx, ell, word, erased=None):
@@ -433,6 +441,72 @@ def test_unique_decoder_all_false_mask_matches_none(ctx):
         a = rs_unique_decode(ctx, ell, w)
         b = rs_unique_decode(ctx, ell, w, np.zeros(n, dtype=bool))
         assert (a is None and b is None) or np.array_equal(a, b)
+
+
+def _berlekamp_massey_full(ctx, syn, gamma, t):
+    """The register synthesis run over all 2t Forney syndromes, with no stop
+    at Massey's bound: the reference for ``listdec._berlekamp_massey``."""
+    ext, p = ctx.m > 1, ctx.p
+    rho = len(gamma) - 1
+    psi = gamma + [0] * (2 * t)
+    prev, errs, shift, scale = gamma, 0, 0, 1
+    rsyn, top = syn[::-1], len(syn) - 1 - rho
+    for k in range(2 * t):
+        shift += 1
+        s = rsyn[top - k: top - k + rho + errs + 1]
+        d = matmul(ctx, psi[:len(s)], s) if ext else sum(map(operator.mul, psi, s)) % p
+        if d:
+            lo, hi, c = shift, shift + len(prev), (ctx.mul(d, scale) if ext else d * scale % p)
+            new = (ctx.sub(np.array(psi[lo:hi]), ctx.mul(c, prev[:len(psi) - lo])).tolist() if ext
+                   else [(x - c * y) % p for x, y in zip(psi[lo:hi], prev)])
+            if 2 * errs <= k:
+                prev, errs, shift = psi[: rho + errs + 1], k + 1 - errs, 0
+                scale = ctx.inv(d) if ext else pow(d, -1, p)
+            psi[lo:hi] = new
+    return psi[: rho + errs + 1], errs
+
+
+@pytest.mark.parametrize("ctx,ells,stride", [(F127, (2,), 3), (F25, (2, 3), 1)])
+def test_berlekamp_massey_stop_at_massey_bound_changes_no_decode(ctx, ells, stride, monkeypatch):
+    # 0 to t + 3 errors (every stride-th count, and each of t - 2..t + 3) and
+    # 0-2 erasures: the register matches the full run whenever that run ends
+    # within t, and every decode matches the oracle
+    real, stopped, outcomes = listdec._berlekamp_massey, set(), set()
+
+    def both(ctx, syn, gamma, t):
+        got, want = real(ctx, list(syn), list(gamma), t), _berlekamp_massey_full(ctx, syn, gamma, t)
+        if want[1] <= t:
+            assert got == want
+        stopped.add(want[1] < t)  # the stop at step errs + t < 2t skipped steps
+        return got
+
+    monkeypatch.setattr(listdec, "_berlekamp_massey", both)
+    n = ctx.q - 1
+    rng = np.random.default_rng(35)
+    for ell in ells:
+        for n_erase in range(3):
+            t = (n - n_erase - ell) // 2
+            for n_err in sorted(set(range(0, t + 4, stride)) | set(range(t - 2, t + 4))):
+                _, word, erased = planted(ctx, ell, n_err, n_erase, rng)
+                got = assert_unique_matches_oracle(ctx, ell, word, erased if n_erase else None)
+                outcomes.add(got is None)
+    assert stopped == outcomes == {True, False}
+
+
+def test_berlekamp_massey_stop_rejects_a_register_that_fails_late():
+    # S_k = X^k (one error at X) up to S_(2t-2), then S_(2t-1) off by one: the
+    # length-1 register stops at step t + 1, where the full run fails at the
+    # last syndrome and ends with length 2t - 1; the decoder still says None
+    ctx, ell = F127, 2
+    n, x = ctx.q - 1, int(ctx.units()[5])
+    t = (n - ell) // 2
+    syn = [int(ctx.pow(x, k)) for k in range(2 * t)]
+    syn[-1] = int(ctx.add(syn[-1], 1))
+    assert listdec._berlekamp_massey(ctx, syn, [1], t)[1] == 1
+    assert _berlekamp_massey_full(ctx, syn, [1], t)[1] == 2 * t - 1
+    coeffs = np.concatenate([np.random.default_rng(36).integers(0, ctx.q, size=ell), syn])
+    word = evaluate_values(ctx, coeffs)
+    assert assert_unique_matches_oracle(ctx, ell, word) is None
 
 
 # sha256 of seeded rs_unique_decode outputs (None included) over prime and
