@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator
 
 import numpy as np
@@ -32,7 +33,7 @@ from .errors import (
     NotASubcode,
     ZeroPivot,
 )
-from .gf import FieldCtx, RowSpace, frozen, kernel, matmul, rref, solve_right
+from .gf import FieldCtx, frozen, kernel, matmul, rref, solve_right
 from .polycode import powers, support_tb
 
 DEFAULT_CAP = 1 << 30
@@ -40,37 +41,40 @@ DEFAULT_CAP = 1 << 30
 
 @dataclass(frozen=True, eq=False)
 class LinearCode:
-    """A linear code given by a full-rank basis (k x n) over GF(q).
+    """A linear code given by a full-rank basis G (k x n) over GF(q).
 
-    The basis G is eliminated once, at construction, and everything else is
-    read off that RREF. With pivots P and free columns F, the kernel basis H
-    (``dual_basis``) has H[:, F] = I: G = [I | A] up to column order gives
-    H = [-A^T | I]. ``row_space`` holds a pivot basis (the RREF, for a code
-    built from a basis), ``dual_space`` holds H with "pivots" F, and the
-    vector that is s on F and 0 elsewhere has syndrome H x = s. The kernel
-    read off H is the RREF again, so ``dual`` swaps the two spaces.
+    G is eliminated once, at construction, and all else is read off that
+    RREF, ``pivot_basis``: with pivots P and free columns F it is I on P, and
+    the kernel basis H (``dual_basis``) is I on F. So ``apply`` (v[P] + block
+    @ v[F]), ``residue`` (v[F] - v[P] @ block) and ``contains`` read only
+    ``block``, the RREF on F, built at its first read; the vector that is s
+    on F and 0 elsewhere has H x = s; and ``dual`` swaps the bases and P
+    with F. Each array is read-only: G is a copy, the rest frozen in place.
     """
 
     ctx: FieldCtx
     basis: np.ndarray
     support: tuple[int, ...] | None = None
-    row_space: RowSpace = field(init=False, repr=False)
-    dual_space: RowSpace = field(init=False, repr=False)
+    pivot_basis: np.ndarray = field(init=False, repr=False)
+    pivots: np.ndarray = field(init=False, repr=False)
+    dual_basis: np.ndarray = field(init=False, repr=False)
+    free: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        b = np.asarray(self.basis, dtype=np.int64)
+        b = np.array(self.basis, dtype=np.int64)  # a copy: never the caller's array
         if b.ndim != 2:
             raise ValueError("basis must be 2-D")
-        b = b % self.ctx.p if self.ctx.m == 1 else b
+        if self.ctx.m == 1:
+            b %= self.ctx.p
         r, pivots = rref(self.ctx, b)
         if len(pivots) != b.shape[0]:
             raise ValueError(f"basis has rank {len(pivots)} < {b.shape[0]} rows")
-        b = b.copy()
-        b.setflags(write=False)
-        object.__setattr__(self, "basis", b)
-        object.__setattr__(self, "row_space", RowSpace.from_pivot_basis(self.ctx, r, pivots))
         h, free = kernel(self.ctx, r, pivots)
-        object.__setattr__(self, "dual_space", RowSpace.from_pivot_basis(self.ctx, h, free))
+        for name, value in (("basis", b), ("pivot_basis", r), ("dual_basis", h),
+                            ("pivots", np.array(pivots, dtype=np.int64)),
+                            ("free", np.array(free, dtype=np.int64))):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     @property
     def n(self) -> int:
@@ -80,19 +84,36 @@ class LinearCode:
     def dim(self) -> int:
         return self.basis.shape[0]
 
-    def contains(self, word: np.ndarray) -> bool:  # word, or every row of a stack
-        return self.row_space.contains(word)
+    @cached_property
+    def block(self) -> np.ndarray:
+        return frozen(self.pivot_basis[:, self.free])
 
-    @property
-    def dual_basis(self) -> np.ndarray:
-        """Rows spanning the dual code: the parity-check matrix H, read-only."""
-        return self.dual_space.pivot_basis
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        """``pivot_basis @ v``; a stack of vectors, one per row, maps row by row."""
+        v = np.asarray(v, dtype=np.int64)  # take(axis=-1) is v[..., cols], without its cost
+        at_free = matmul(self.ctx, self.block, v.take(self.free, axis=-1).T).T
+        return self.ctx.add(v.take(self.pivots, axis=-1), at_free)
+
+    def residue(self, v: np.ndarray) -> np.ndarray:
+        """v (each row of a stack) modulo the code, on ``free``: 0 iff a codeword."""
+        v = np.asarray(v, dtype=np.int64)
+        at_pivots = matmul(self.ctx, v.take(self.pivots, axis=-1), self.block)
+        return self.ctx.sub(v.take(self.free, axis=-1), at_pivots)
+
+    def contains(self, v: np.ndarray) -> bool:  # v, or every row of a stack
+        return not np.any(self.residue(v))
 
     def dual(self) -> "LinearCode":
-        """The dual code, with basis H and the two spaces swapped: no elimination."""
+        """The dual code, with basis H and the two bases swapped: no elimination.
+        It is built once per code, so its ``block`` is too."""
+        return self._dual
+
+    @cached_property
+    def _dual(self) -> "LinearCode":
         dual = object.__new__(LinearCode)
         for name, value in (("ctx", self.ctx), ("basis", self.dual_basis), ("support", None),
-                            ("row_space", self.dual_space), ("dual_space", self.row_space)):
+                            ("pivot_basis", self.dual_basis), ("dual_basis", self.pivot_basis),
+                            ("pivots", self.free), ("free", self.pivots)):
             object.__setattr__(dual, name, value)
         return dual
 
@@ -254,7 +275,7 @@ def min_weight_excluding(code: LinearCode, subcode: LinearCode,
             w = nonzero.sum(axis=0, dtype=count)
             keep = w <= best
             if subcode.dim and keep.any():
-                keep[keep] = subcode.row_space.residue(words.T[keep]).any(axis=1)
+                keep[keep] = subcode.residue(words.T[keep]).any(axis=1)
             if keep.any():
                 low = int(w[keep].min())
                 if low < best:
@@ -275,9 +296,9 @@ def _information_sets(code: LinearCode) -> Iterator[tuple[np.ndarray, int]]:
     next one eliminates the columns no set took yet, placed ahead of the
     others. A generator of rank r_j < k has its other rows zero on all the
     columns still untaken."""
-    r, n = code.row_space.pivot_basis, code.n
+    r, n = code.pivot_basis, code.n
     yield frozen(r.T), code.dim
-    taken = list(code.row_space.pivots)
+    taken = list(code.pivots)
     while len(taken) < n:
         order = sorted(set(range(n)).difference(taken)) + taken
         g, pivots = rref(code.ctx, r[:, order])
@@ -316,7 +337,7 @@ def _lowest_index_word(code: LinearCode, subcode: LinearCode, words: np.ndarray)
     (its pivot columns, as ``quotient_representatives`` does) and returns
     the inverse of B[:, P]^T in place of I. Each message is then scaled so
     its highest nonzero digit is 1, the lowest index on its line."""
-    ctx, k, cols = code.ctx, code.dim, code.row_space.pivots
+    ctx, k, cols = code.ctx, code.dim, code.pivots
     a = np.vstack([subcode.basis[:, cols], code.basis[:, cols]]).T
     r, _ = rref(ctx, np.hstack([a, np.eye(k, dtype=np.int64)]))
     msgs = matmul(ctx, words[:, cols], r[:, -k:].T)
@@ -363,7 +384,7 @@ def local_recover_symbol(code: LinearCode, values: np.ndarray, i: int,
     """
     ctx = code.ctx
     check = np.asarray(check, dtype=np.int64)
-    if not code.dual_space.contains(check):
+    if not code.dual().contains(check):
         raise CheckNotInDual("supplied check is not a parity check of the code")
     if check[i] == 0:
         raise ZeroPivot(f"check does not cover position {i}")

@@ -125,8 +125,8 @@ def cmd_distance(args) -> int:
     built = descriptor.build(_descriptor_from_args(args))
     fam, obj = built.family, built.obj
     if fam in ("qtb", "fqtb", "random_qlrc"):
-        css, fold = (obj.base.css, obj.s) if fam == "fqtb" else (obj.css, None)
-        d, witness, side = css_distance_brute(css, cap=cap, fold_s=fold)
+        fold = obj.s if fam == "fqtb" else None
+        d, witness, side = css_distance_brute(obj.css, cap=cap, fold_s=fold)
         out = {"family": fam, "distance_blocks" if fold else "distance": int(d), "side": side,
                "witness": witness.tolist()}
     elif fam in ("rs", "tb"):
@@ -143,12 +143,20 @@ def cmd_distance(args) -> int:
 
 # -- simulate -----------------------------------------------------------------------
 
-def _global_decode(args, css, radius, run):
+def _weight(args, default: int, limit: int) -> int:
+    """``--weight``, else ``default``, in [0, limit]: the qudits or blocks drawn from."""
+    weight = default if args.weight is None else args.weight
+    if not 0 <= weight <= limit:
+        raise ValidationError(f"--weight must lie in [0, {limit}], got {weight}")
+    return weight
+
+
+def _global_decode(args, css, radius, limit, run):
     """The weight to simulate (``--weight``, else the radius), and whether
     ``run``, a global decode, leaves a logical identity. Within the radius
     ``run`` checks its own residual and any QlrcError propagates (exit 4);
     past it, with ``--allow-overload``, a failure counts as one."""
-    weight = args.weight if args.weight is not None else radius
+    weight = _weight(args, radius, limit)
     if weight > radius and not args.allow_overload:
         raise ValidationError(
             f"weight {weight} exceeds decode radius {radius}; pass --allow-overload")
@@ -170,8 +178,10 @@ def _simulate_code(built, args):
     ``decode`` is timed."""
     fam, obj = built.family, built.obj
     model = args.model
+    if args.trials < 1:
+        raise ValidationError(f"--trials must be at least 1, got {args.trials}")
     if fam in ("qtb", "fqtb", "random_qlrc"):
-        css = obj.base.css if fam == "fqtb" else obj.css
+        css = obj.css
         n = css.n
         if model == "local":
             weight = 1
@@ -183,7 +193,7 @@ def _simulate_code(built, args):
                 corr = recover_pauli(css, css.recovery[int(err.support()[0])], err)
                 return residual_after_correction(css.ctx, err, corr).weight == 0
         elif model == "erasure":
-            weight = args.weight if args.weight is not None else 1
+            weight = _weight(args, 1, n)
 
             def sample(rng):
                 return rng.choice(n, size=weight, replace=False).tolist()
@@ -194,6 +204,7 @@ def _simulate_code(built, args):
             raise ValidationError("random qLRCs have no global decoder; models: local, erasure")
         else:
             weight, decode = _global_decode(args, css, quantum_decode_radius(obj),
+                                            obj.block_count if fam == "fqtb" else n,
                                             lambda err: quantum_decode(obj, err))
 
             def sample(rng):
@@ -206,7 +217,7 @@ def _simulate_code(built, args):
         if model != "mixed":
             raise ValidationError(f"AEL codes decode mixed block errors only, not model {model!r}")
         code = obj.code
-        weight, decode = _global_decode(args, code.css, obj.radius_blocks,
+        weight, decode = _global_decode(args, code.css, obj.radius_blocks, code.block_count,
                                         lambda err: ael_quantum_decode(obj, err))
 
         def sample(rng):
@@ -225,7 +236,7 @@ def _simulate_code(built, args):
         t_total += time.perf_counter() - t0
         successes += good
         per_trial.append((t, weight, int(good)))
-    mean_ms = 1000.0 * t_total / max(args.trials, 1)
+    mean_ms = 1000.0 * t_total / args.trials
     return meta, per_trial, successes, mean_ms
 
 

@@ -34,7 +34,7 @@ from .errors import (
     ValidationError,
     ZeroPivot,
 )
-from .gf import FieldCtx, RowSpace, matmul, nullspace, rank
+from .gf import FieldCtx, matmul, nullspace, rank
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,12 +105,12 @@ class CssCode:
         return self.cz.dual_basis
 
     @property
-    def dual_x_space(self) -> RowSpace:
-        return self.cx.dual_space
+    def dual_x_space(self) -> LinearCode:
+        return self.cx.dual()
 
     @property
-    def dual_z_space(self) -> RowSpace:
-        return self.cz.dual_space
+    def dual_z_space(self) -> LinearCode:
+        return self.cz.dual()
 
     @property
     def symmetric(self) -> bool:
@@ -140,8 +140,8 @@ def css_new(cx: LinearCode, cz: LinearCode,
 
 
 def syndrome(code: CssCode, err: PauliError) -> tuple[np.ndarray, np.ndarray]:
-    """(H_X @ bx, H_Z @ bz): everything the stabilizer measurements reveal. Each
-    is ``RowSpace.apply``, which reads H only off its pivot (identity) columns."""
+    """(H_X @ bx, H_Z @ bz): everything the stabilizer measurements reveal, each
+    by ``LinearCode.apply`` of a dual, which reads H off its non-identity columns."""
     return code.dual_x_space.apply(err.bx), code.dual_z_space.apply(err.bz)
 
 
@@ -224,11 +224,11 @@ def css_distance_brute(code: CssCode, cap: int = DEFAULT_CAP,
     """
     if code.k == 0:
         raise ValidationError("the code encodes no qudits (k = 0), so it has no distance")
-    d_z, wit_z = min_weight_excluding(code.cz, code.cx.dual(), cap=cap, fold_s=fold_s)
+    d_z, wit_z = min_weight_excluding(code.cz, code.dual_x_space, cap=cap, fold_s=fold_s)
     if code.symmetric:
         d_x, wit_x = d_z, wit_z
     else:
-        d_x, wit_x = min_weight_excluding(code.cx, code.cz.dual(), cap=cap, fold_s=fold_s)
+        d_x, wit_x = min_weight_excluding(code.cx, code.dual_z_space, cap=cap, fold_s=fold_s)
     if d_z <= d_x:
         return int(d_z), wit_z, "z"
     return int(d_x), wit_x, "x"

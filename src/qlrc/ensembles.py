@@ -49,7 +49,7 @@ from .errors import (
     SamplingFailedAfterRetries,
     ValidationError,
 )
-from .gf import FieldCtx, RowSpace, field_new, frozen, matmul, nullspace, rref
+from .gf import FieldCtx, field_new, frozen, matmul, nullspace, rref
 from .listdec import rs_unique_decode
 from .polycode import eval_table
 
@@ -136,7 +136,7 @@ def random_qlrc(n: int, r: int, ell: int, q: int, seed: int) -> RandomQlrc:
 
     def extend(target: np.ndarray, other: np.ndarray) -> np.ndarray:
         complement = nullspace(ctx, other)  # rows spanning rowspan(other)-perp
-        span = RowSpace(ctx, target)
+        span = LinearCode(ctx, target)
         for _ in range(_REJECTION_TRIES):
             cand = matmul(ctx, rng.integers(0, ctx.q, size=complement.shape[0]), complement)
             if not span.contains(cand):
@@ -162,8 +162,8 @@ def random_qlrc(n: int, r: int, ell: int, q: int, seed: int) -> RandomQlrc:
 def certified_distance_at_least(code: CssCode, t: int) -> bool:
     """Whether the exact minimum weights over C_Z \\ C_X-dual and C_X \\
     C_Z-dual are both at least t; True for k = 0, where both sets are empty."""
-    return (min_weight_excluding(code.cz, code.cx.dual())[0] >= t
-            and min_weight_excluding(code.cx, code.cz.dual())[0] >= t)
+    return (min_weight_excluding(code.cz, code.dual_x_space)[0] >= t
+            and min_weight_excluding(code.cx, code.dual_z_space)[0] >= t)
 
 
 def sample_qlrc_with_distance(n: int, r: int, ell: int, q: int, seed: int,
@@ -201,6 +201,8 @@ def gv_estimate(n: int, r: int, ell: int, q: int, delta: float, trials: int,
     from .bounds import entropy_q, gv_probability_bound
     from .css import css_distance_brute
 
+    if trials < 1:
+        raise ValidationError(f"trials must be at least 1, got {trials}")
     threshold = delta * n
     successes = 0
     dists = []

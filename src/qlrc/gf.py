@@ -68,25 +68,19 @@ p near 2**31 and never at GF(127) sizes. The pivot column is written as a
 unit vector, and R is reduced once at the end. An extension field has no
 such headroom (its entries are codes, not residues), so the same loop keeps
 them canonical with ``sub`` and ``mul`` and inverts the pivot with ``inv``.
-``rank``, ``kernel``, ``nullspace``, ``solve_right`` and ``RowSpace`` read
-their answers off its pivots with fancy indexing and ``matmul``; none of
-them loops over field elements.
+``rank``, ``kernel``, ``nullspace`` and ``solve_right`` read their answers
+off its pivots with fancy indexing and ``matmul``; none of them loops over
+field elements.
 ``kernel`` reads the kernel off an RREF that is already in hand, so an owner
-that keeps one elimination (``classical.LinearCode``) gets its dual from it.
-
-A ``RowSpace`` basis is the identity on its pivot columns, so ``apply``
-(basis @ v = v[pivots] + block @ v[free]), ``residue`` (v[free] - v[pivots]
-@ block, the residue on the free columns; it is 0 at the pivots) and
-``contains`` read only ``block``, the basis on the free columns (found by
-``np.delete``, not ``np.setdiff1d``, which imports ``numpy.ma``), built at
-its first read.
+that keeps one elimination (``classical.LinearCode``, the one row-space
+type) gets its dual from it.
 """
 
 from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -499,55 +493,3 @@ def matmul(ctx: FieldCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         digits = ctx._digit_table.take(b2, axis=0).transpose(0, 2, 1).reshape(k * m, cols)
         out = pk @ ((fa @ digits.astype(dtype)).astype(np.int64) % p).reshape(rows, m, cols)
     return out.reshape(a.shape[:-1] + b.shape[1:])
-
-
-class RowSpace:
-    """A row space kept as a basis in which each row is 1 at its own pivot
-    column and 0 at the other rows' pivots, for fast membership queries.
-
-    An RREF is one such basis; so is a kernel basis from ``kernel``, with the
-    free columns as its pivots.
-    """
-
-    def __init__(self, ctx: FieldCtx, basis: np.ndarray):
-        basis = np.asarray(basis, dtype=np.int64)
-        if basis.ndim != 2:
-            raise ValueError("basis must be a 2-D array")
-        r, pivots = rref(ctx, basis)
-        self.ctx, self.pivot_basis, self.pivots = ctx, frozen(r[: len(pivots)]), frozen(pivots)
-
-    @classmethod
-    def from_pivot_basis(cls, ctx: FieldCtx, basis: np.ndarray, pivots: list[int]) -> "RowSpace":
-        space = cls.__new__(cls)  # basis[:, pivots] is already the identity
-        space.ctx, space.pivot_basis = ctx, frozen(basis[: len(pivots)])
-        space.pivots = frozen(pivots)
-        return space
-
-    @cached_property
-    def free(self) -> np.ndarray:
-        return frozen(np.delete(np.arange(self.pivot_basis.shape[1]), self.pivots))
-
-    @cached_property
-    def block(self) -> np.ndarray:
-        return frozen(self.pivot_basis[:, self.free])
-
-    @property
-    def dim(self) -> int:
-        return len(self.pivots)
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        """``pivot_basis @ v``; a stack of vectors, one per row, maps row by row."""
-        v = np.asarray(v, dtype=np.int64)  # take(axis=-1) is v[..., cols], without its cost
-        at_free = matmul(self.ctx, self.block, v.take(self.free, axis=-1).T).T
-        return self.ctx.add(v.take(self.pivots, axis=-1), at_free)
-
-    def residue(self, v: np.ndarray) -> np.ndarray:
-        """Residue of v (of each row of a stack) modulo the row space on the
-        ``free`` columns, zero iff member (it is zero at the pivots)."""
-        v = np.asarray(v, dtype=np.int64)
-        at_pivots = matmul(self.ctx, v.take(self.pivots, axis=-1), self.block)
-        return self.ctx.sub(v.take(self.free, axis=-1), at_pivots)
-
-    def contains(self, v: np.ndarray) -> bool:
-        """Whether v, or every row of a stack, lies in the row space."""
-        return not np.any(self.residue(v))

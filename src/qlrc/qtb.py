@@ -113,6 +113,10 @@ class FqtbCode:
     s: int
 
     @property
+    def css(self) -> CssCode:
+        return self.base.css
+
+    @property
     def ctx(self) -> FieldCtx:
         return self.base.ctx
 

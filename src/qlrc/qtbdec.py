@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -205,23 +204,15 @@ def dec_c_radius(q: int, r: int, ell: int) -> int:
     The theorem radius assumes list decoding at the Johnson bound; with the
     decoder's actual RS radius A, errors are still handled whenever either
     2e <= A (every differenced word is within A) or the averaged agreement
-    bound lands within A. Both are capped by the theorem radius, which is
-    what makes the returned dual-coset guarantee kick in.
+    bound lands within A (``frs_e_prime_for_radius`` at s = 1). Both are
+    capped by the theorem radius, which is what makes the returned
+    dual-coset guarantee kick in.
     """
     thm = decode_radius_qtb(q, r, ell)
     if thm <= 0:
         return 0
     rs_rad = best_feasible_radius_rs(q, ell, DEC_MULTIPLICITY_CAP)
-    e_forall = rs_rad // 2
-    e_avg = 0
-    n = q - 1
-    for e in range(thm, -1, -1):
-        t = 1 - Fraction(e, n)
-        induced = n * (1 - Fraction(r, r - 1) * t * t + Fraction(1, r - 1) * t)
-        if induced <= rs_rad:
-            e_avg = e
-            break
-    return min(thm, max(e_forall, e_avg))
+    return min(thm, max(rs_rad // 2, frs_e_prime_for_radius(q, r, ell, 1, rs_rad)))
 
 
 def dec_c(code: QtbCode, values: np.ndarray, e: int | None = None) -> DecOutcome:
@@ -265,8 +256,7 @@ def quantum_decode(code: QtbCode | FqtbCode, err: PauliError) -> tuple[PauliErro
     under ``css.contract_decode`` with the module radius (the CLI maps its
     DecodeContractViolation to its own exit code)."""
     folded = isinstance(code, FqtbCode)
-    css = code.base.css if folded else code.css
-    check_error(css, err)
+    check_error(code.css, err)
     decoder, s = (dec_c_folded, code.s) if folded else (dec_c, 1)
     radius = quantum_decode_radius(code)
     weight = err.block_weight(s)
@@ -276,4 +266,4 @@ def quantum_decode(code: QtbCode | FqtbCode, err: PauliError) -> tuple[PauliErro
         word = t.reshape(-1, s) if folded else t
         return decoder(code, word, e=radius if within else None).word.reshape(-1)
 
-    return contract_decode(css, err, dec, dec, weight, radius)
+    return contract_decode(code.css, err, dec, dec, weight, radius)

@@ -73,14 +73,23 @@ def test_dual_swaps_the_two_spaces_without_an_elimination(monkeypatch):
         for _ in range(8):
             n = int(rng.integers(1, 9))
             c = LinearCode(ctx, _random_rows(ctx, rng, int(rng.integers(0, n + 1)), n))
-            r, pivots = kernel(ctx, c.dual_space.pivot_basis, c.dual_space.pivots)
-            assert pivots == c.row_space.pivots.tolist()
-            assert r.dtype == np.int64 and np.array_equal(r, c.row_space.pivot_basis)
+            r, pivots = kernel(ctx, c.dual_basis, c.free)
+            assert pivots == c.pivots.tolist()
+            assert r.dtype == np.int64 and np.array_equal(r, c.pivot_basis)
     c, calls = rs_code(F13, 5), []
     monkeypatch.setattr(classical, "rref", lambda *args: calls.append(args))
     d = c.dual()
-    assert calls == [] and np.array_equal(d.basis, d.row_space.pivot_basis)
-    assert d.dim == 7 and d.row_space.dim == 7 and d.dual_space.dim == 5
+    assert calls == [] and np.array_equal(d.basis, d.pivot_basis)
+    assert d.dim == 7 and len(d.pivots) == 7 and len(d.dual_basis) == 5
+    assert np.array_equal(d.pivots, c.free) and np.array_equal(d.free, c.pivots)
+
+
+def test_linear_code_leaves_the_callers_array_alone():
+    for ctx in (F13, field_new(2, 3)):
+        basis = np.array([[1, 2, 3, 4], [0, 1, 1, 1]])
+        code = LinearCode(ctx, basis)
+        assert basis.flags.writeable and not np.shares_memory(code.basis, basis)
+        assert np.array_equal(code.basis, basis) and not code.basis.flags.writeable
 
 
 def test_min_weight_excluding_qtb734_sandwich():

@@ -142,6 +142,40 @@ def test_simulate_overload_requires_flag(capsys):
     assert "overload" in err
 
 
+QTB13 = ("--family", "qtb", "--q", "13", "--r", "3", "--ell", "8")
+
+
+@pytest.mark.parametrize("argv", [
+    ("ensemble", "--kind", "gv", "--trials", "0"),
+    ("ensemble", "--kind", "gv", "--trials", "-3"),
+    ("ensemble", "--kind", "ael", "--seed", "90", "--trials", "0"),
+    ("simulate", *QTB13, "--trials", "-2"),
+    ("simulate", *QTB13, "--trials", "0"),
+    ("simulate", *QTB13, "--weight", "-1", "--trials", "2"),
+    ("simulate", *QTB13, "--model", "erasure", "--weight", "-1", "--trials", "2"),
+    ("simulate", *QTB13, "--model", "erasure", "--weight", "20", "--trials", "2"),
+    ("simulate", *QTB13, "--weight", "13", "--allow-overload", "--trials", "2"),
+    ("simulate", *QTB13, "--s", "2", "--family", "fqtb", "--weight", "7", "--allow-overload",
+     "--trials", "2"),
+    ("simulate", "--family", "ael", "--seed", "90", "--weight", "30", "--allow-overload",
+     "--trials", "2"),
+], ids=["gv-trials-0", "gv-trials-negative", "ael-ensemble-trials-0", "trials-negative",
+        "trials-0", "weight-negative", "erasure-weight-negative", "erasure-weight-past-n",
+        "qtb-weight-past-n", "fqtb-weight-past-blocks", "ael-weight-past-blocks"])
+def test_out_of_range_trials_or_weight_exits_2_before_any_trial(capsys, monkeypatch, argv):
+    from qlrc import cli, ensembles
+
+    def no_trial(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(cli, "stream_rng", no_trial)  # simulate's per-trial stream
+    if "gv" in argv:  # a gv trial samples a random qLRC (an AEL build does too)
+        monkeypatch.setattr(ensembles, "random_qlrc", no_trial)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "", err
+    assert "trials must be at least 1" in err or "--weight must lie in [0, " in err
+
+
 def test_simulate_overload_reports_failures_exit_zero(capsys):
     code, out, _ = run(capsys, "simulate", "--family", "qtb", "--q", "13",
                        "--r", "3", "--ell", "8", "--model", "mixed",

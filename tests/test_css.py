@@ -142,9 +142,22 @@ def test_one_elimination_serves_membership_dual_and_preimage(monkeypatch):
     c = classical.LinearCode(F13, powers(F13, support_qtb(13, 3, 8)))
     code = css_new(c, c)
     assert c.contains(c.basis[0]) and not c.contains(np.eye(12, dtype=np.int64)[0])
-    assert c.dual_basis.shape == (5, 12) and c.dual_space.contains(c.dual_basis[1])
+    assert c.dual_basis.shape == (5, 12) and c.dual().contains(c.dual_basis[1])
     coset_representative(code, "x", np.arange(5))
     assert calls == [(7, 12)]
+
+
+def test_the_dual_spaces_are_built_once_per_code():
+    from qlrc.ensembles import random_qlrc
+
+    code = random_qlrc(12, 3, 1, 3, seed=2).css  # C_X != C_Z
+    for space, comp in ((code.dual_x_space, code.cx), (code.dual_z_space, code.cz)):
+        assert space.same_row_space(comp.dual()) and np.array_equal(space.basis, comp.dual_basis)
+    assert code.dual_x_space is code.cx.dual() and code.dual_z_space is code.cz.dual()
+    assert code.dual_x_space.block is code.dual_x_space.block
+    c = LinearCode(F13, powers(F13, support_qtb(13, 3, 8)))
+    symmetric = css_new(c, c)  # one dual, so one block, serves both sides
+    assert symmetric.dual_x_space is symmetric.dual_z_space
 
 
 def _ael_css():

@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qlrc import gf
+from qlrc.classical import LinearCode
 from qlrc.errors import NonPrimeCharacteristic, NotADivisor, Overflow, ZeroElement
 from qlrc.gf import (
     FieldCtx,
-    RowSpace,
     coset,
     field_from_order,
     field_new,
@@ -419,21 +419,37 @@ def test_rref_zero_rows_sort_first_and_still_come_out_last():
 def test_rowspace_membership_and_reduce():
     ctx = field_new(13)
     basis = np.array([[1, 2, 3, 4], [0, 1, 1, 1]])
-    space = RowSpace(ctx, basis)
-    assert space.contains(ctx.add(basis[0], ctx.mul(5, basis[1])))
-    assert not space.contains(np.array([0, 0, 0, 1]))
-    assert space.contains(basis) and not space.contains(np.eye(4, dtype=np.int64))
+    code = LinearCode(ctx, basis)
+    assert code.contains(ctx.add(basis[0], ctx.mul(5, basis[1])))
+    assert not code.contains(np.array([0, 0, 0, 1]))
+    assert code.contains(basis) and not code.contains(np.eye(4, dtype=np.int64))
 
 
-def _reduce_oracle(ctx, space, v):
+def test_linear_code_rejects_dependent_rows():
+    ctx = field_new(13)
+    basis = np.array([[1, 2, 3, 4], [0, 1, 1, 1], [1, 3, 4, 5]])  # row 2 = row 0 + row 1
+    with pytest.raises(ValueError, match="rank 2 < 3"):
+        LinearCode(ctx, basis)
+    assert LinearCode(ctx, basis[:2]).contains(basis[2])
+
+
+def _full_rank_rows(ctx, rng, rows, cols):
+    """Random rows, drawn again until independent: deterministic for a seeded rng."""
+    while True:
+        basis = rng.integers(0, ctx.q, size=(rows, cols))
+        if rank(ctx, basis) == rows:
+            return basis
+
+
+def _reduce_oracle(ctx, code, v):
     """Residue and coordinates by the sequential loop: subtract the pivot
     entry's multiple of each pivot-basis row in turn."""
     v = np.array(v, dtype=np.int64, copy=True)
-    coeff = np.zeros(space.dim, dtype=np.int64)
-    for ri, pc in enumerate(space.pivots):
+    coeff = np.zeros(code.dim, dtype=np.int64)
+    for ri, pc in enumerate(code.pivots):
         c = int(v[pc])
         coeff[ri] = c
-        v = ctx.sub(v, ctx.mul(c, space.pivot_basis[ri]))
+        v = ctx.sub(v, ctx.mul(c, code.pivot_basis[ri]))
     return v, coeff
 
 
@@ -442,18 +458,19 @@ def test_rowspace_reduce_matches_sequential_loop(p, m):
     ctx = field_new(p, m)
     rng = np.random.default_rng(p + m)
     for rows, cols in [(0, 5), (1, 1), (3, 8), (6, 6), (9, 12)]:
-        basis = rng.integers(0, ctx.q, size=(rows, cols))
-        if rows > 1:
-            basis[-1] = ctx.add(basis[0], basis[1])  # a dependent row
-        space = RowSpace(ctx, basis)
+        basis = _full_rank_rows(ctx, rng, rows - (rows > 1), cols)
+        code = LinearCode(ctx, basis)
+        if rows > 1:  # a dependent row: a member of the code the other rows span
+            basis = np.vstack([basis, ctx.add(basis[0], basis[1])])
+            assert code.contains(basis[-1])
         members = matmul(ctx, rng.integers(0, ctx.q, size=(4, rows)), basis)
         for v in list(members) + list(rng.integers(0, ctx.q, size=(4, cols))):
-            residue, coeff = _reduce_oracle(ctx, space, v)
-            assert np.array_equal(space.residue(v), residue[space.free])
-            assert not np.any(residue[space.pivots])
-            assert space.contains(v) == (not np.any(residue))
+            residue, coeff = _reduce_oracle(ctx, code, v)
+            assert np.array_equal(code.residue(v), residue[code.free])
+            assert not np.any(residue[code.pivots])
+            assert code.contains(v) == (not np.any(residue))
             if not np.any(residue):  # a member's coefficients are its pivot entries
-                assert np.array_equal(v[space.pivots], coeff)
+                assert np.array_equal(v[code.pivots], coeff)
 
 
 @pytest.mark.parametrize("p,m", [(127, 1), (5, 2)])
@@ -463,33 +480,33 @@ def test_rowspace_products_match_the_full_width_formulas(p, m):
     ctx = field_new(p, m)
     rng = np.random.default_rng(11 * p + m)
     for rows, cols in [(0, 7), (7, 7), (3, 9), (8, 20)]:  # dim 0; dim n: no free columns
-        basis = rng.integers(0, ctx.q, size=(rows, cols))
-        space = RowSpace(ctx, basis)
-        assert space.dim == rows and len(space.pivots) + len(space.free) == cols
-        full = space.pivot_basis
+        basis = _full_rank_rows(ctx, rng, rows, cols)
+        code = LinearCode(ctx, basis)
+        assert code.dim == rows and len(code.pivots) + len(code.free) == cols
+        full = code.pivot_basis
         stack = np.vstack([rng.integers(0, ctx.q, size=(5, cols)),
                            matmul(ctx, rng.integers(0, ctx.q, size=(3, rows)), basis)])
-        residues = ctx.sub(stack, matmul(ctx, stack[:, space.pivots], full))
-        assert np.array_equal(space.apply(stack), matmul(ctx, full, stack.T).T)
-        assert np.array_equal(space.residue(stack), residues[:, space.free])
-        assert not np.any(residues[:, space.pivots])
+        residues = ctx.sub(stack, matmul(ctx, stack[:, code.pivots], full))
+        assert np.array_equal(code.apply(stack), matmul(ctx, full, stack.T).T)
+        assert np.array_equal(code.residue(stack), residues[:, code.free])
+        assert not np.any(residues[:, code.pivots])
         for v, residue in zip(stack, residues):
-            assert np.array_equal(space.apply(v), matmul(ctx, full, v))
-            assert np.array_equal(space.residue(v), residue[space.free])
-            assert space.contains(v) == (not np.any(residue))
-        assert space.contains(stack) == (not np.any(residues))
-        assert space.contains(stack[5:])  # the members only
-        assert space.contains(stack[:5]) == (rows == cols)
-        assert space.apply(stack[:0]).shape == (0, space.dim)
+            assert np.array_equal(code.apply(v), matmul(ctx, full, v))
+            assert np.array_equal(code.residue(v), residue[code.free])
+            assert code.contains(v) == (not np.any(residue))
+        assert code.contains(stack) == (not np.any(residues))
+        assert code.contains(stack[5:])  # the members only
+        assert code.contains(stack[:5]) == (rows == cols)
+        assert code.apply(stack[:0]).shape == (0, code.dim)
 
 
 def test_rowspace_contains_reduces_noncanonical_entries():
     # an entry p in GF(p) is 0: a member shifted by p stays a member
     ctx = field_new(13)
-    space = RowSpace(ctx, np.array([[1, 2, 3, 4], [0, 1, 1, 1]]))
-    member = matmul(ctx, np.array([3, 5]), space.pivot_basis)
-    assert space.contains(member + 13) and space.contains(member - 13 * (member > 0))
-    assert not space.contains(member + np.array([0, 0, 0, 14]))
+    code = LinearCode(ctx, np.array([[1, 2, 3, 4], [0, 1, 1, 1]]))
+    member = matmul(ctx, np.array([3, 5]), code.pivot_basis)
+    assert code.contains(member + 13) and code.contains(member - 13 * (member > 0))
+    assert not code.contains(member + np.array([0, 0, 0, 14]))
 
 
 def test_units_built_once_and_read_only():
@@ -653,8 +670,8 @@ def test_fixed_matrices_are_read_only():
     sample = random_qlrc(12, 3, 1, 3, seed=2)
     ctx, code = sample.ctx, sample.css.cz
     pair = logical_pair(sample.css)
-    fixed = [code.dual_basis, code.dual_space.pivot_basis, code.row_space.pivot_basis,
-             RowSpace(ctx, code.basis).pivot_basis, _idft_matrix(ctx), eval_table(ctx, 6),
+    fixed = [code.basis, code.dual_basis, code.pivot_basis, code.pivots, code.free, code.block,
+             sample.css.dual_x_space.block, _idft_matrix(ctx), eval_table(ctx, 6),
              pair.lx, pair.lz, _inner_decoder_cache(ctx, np.array(sample.css.hz)).parity]
     for mat in fixed:
         assert not mat.flags.writeable and mat.base is None

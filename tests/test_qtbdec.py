@@ -152,6 +152,42 @@ def test_dec_c_radius_values():
     assert dec_c_folded_radius(13, 3, 8, 2) == 0
 
 
+def _averaged_radius_scan(q, r, rs_rad, top):
+    """The largest e <= top whose induced corruption n(1 - r/(r-1) t^2 +
+    t/(r-1)), t = 1 - e/n, is within the RS radius, by a downward scan."""
+    from fractions import Fraction
+
+    n, e_avg = q - 1, 0
+    for e in range(top, -1, -1):
+        t = 1 - Fraction(e, n)
+        if n * (1 - Fraction(r, r - 1) * t * t + Fraction(1, r - 1) * t) <= rs_rad:
+            e_avg = e
+            break
+    return e_avg
+
+
+def test_dec_c_radius_matches_the_scan_over_e():
+    # the closed form (frs_e_prime_for_radius at s = 1) against the scan it
+    # replaced: at the decoder's RS radius, and at every radius below n; the
+    # averaged term beats A // 2 at (243, 11, 123) and (243, 11, 124) only
+    from qlrc.bounds import decode_radius_qtb, frs_e_prime_for_radius
+
+    cases = [(q, r, ell) for q in (7, 8, 9, 11, 13, 16, 19, 25, 27, 31, 32, 37, 43, 49, 61,
+                                   64, 67, 71, 79, 81, 121, 125, 127, 128, 243)
+             for r in (3, 5, 7, 11, 13) if (q - 1) % r == 0 for ell in range((q + 1) // 2, q)]
+    assert len(cases) > 900
+    for q, r, ell in cases:
+        thm = decode_radius_qtb(q, r, ell)
+        rs_rad = best_feasible_radius_rs(q, ell, qtbdec.DEC_MULTIPLICITY_CAP)
+        want = min(thm, max(rs_rad // 2, _averaged_radius_scan(q, r, rs_rad, thm))) if thm > 0 else 0
+        assert dec_c_radius(q, r, ell) == want, (q, r, ell)
+    assert dec_c_radius(243, 11, 123) == 30 > best_feasible_radius_rs(243, 123, 2) // 2
+    for q, r in [(7, 3), (13, 3), (16, 5), (31, 5), (61, 3), (64, 7), (127, 7)]:
+        for rs_rad in range(q - 1):
+            got = frs_e_prime_for_radius(q, r, (q + 1) // 2, 1, rs_rad)
+            assert got == _averaged_radius_scan(q, r, rs_rad, q - 2), (q, r, rs_rad)
+
+
 def test_dec_c_trials_at_radius_127():
     code = qtb_new(127, 3, 80)
     ctx = code.ctx
@@ -385,7 +421,7 @@ def test_quantum_decode_evaluates_one_candidate_per_side(monkeypatch, folded):
         monkeypatch.setattr(module, "evaluate_values",
                             lambda *args: calls.append(1) or real(*args))
     code = fqtb_new(127, 3, 64, 2) if folded else qtb_new(127, 3, 80)
-    css, rng = (code.base.css if folded else code.css), np.random.default_rng(9)
+    css, rng = code.css, np.random.default_rng(9)
     for _ in range(3):
         err = (random_block_pauli(code.ctx, 63, 2, 4, rng) if folded
                else random_pauli(code.ctx, 126, 10, "mixed", rng))
@@ -447,7 +483,7 @@ def _raise_decoding_failed(*args, **kwargs):
 def test_quantum_decode_failure_within_radius_is_contract_violation(monkeypatch, folded):
     code = fqtb_new(127, 3, 64, 2) if folded else qtb_new(13, 3, 8)
     monkeypatch.setattr(qtbdec, "dec_c_folded" if folded else "dec_c", _raise_decoding_failed)
-    n = code.base.css.n if folded else code.css.n
+    n = code.css.n
     zero = PauliError(np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64))
     with pytest.raises(DecodeContractViolation):
         quantum_decode(code, zero)
@@ -458,7 +494,7 @@ def test_quantum_decode_failure_beyond_radius_propagates(monkeypatch, folded):
     code = fqtb_new(127, 3, 64, 2) if folded else qtb_new(13, 3, 8)
     monkeypatch.setattr(qtbdec, "dec_c_folded" if folded else "dec_c", _raise_decoding_failed)
     s = code.s if folded else 1
-    n = code.base.css.n if folded else code.css.n
+    n = code.css.n
     bx = np.zeros(n, dtype=np.int64)
     bx[: s * (quantum_decode_radius(code) + 1): s] = 1  # one qudit in each of radius+1 blocks
     with pytest.raises(DecodingFailed):  # not a DecodeContractViolation
